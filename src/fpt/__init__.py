@@ -12,8 +12,8 @@ from .errors import FptError, InputError, NumericsError
 from .forcefield import (ForceField, InvariantMeasure, SdeSpec,
                          ClassificationFlags, builtin, lamperti, classify,
                          measure_from_drift, load_field)
-from .oupcf import (PcfEval, pcf, pcf_eval, reflection_product,
-                    rightmost_zero, hermite_leftmost_zero)
+from .oupcf import (pcf, reflection_product, rightmost_zero,
+                    hermite_leftmost_zero)
 from .hseries import (HGrid, HTable, catalan_numbers, h1, build_table,
                       cumulant_integrand, integrate_h)
 from .decay import (DecayEstimate, ratio_sequence, aitken_A0, aitken_A1,

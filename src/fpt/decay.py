@@ -10,9 +10,10 @@ which is exact whenever x_r = L + 1/(a + b*r).  The plain Aitken
 delta-squared (A0) is kept for comparison; it undercorrects here.
 
 Exact rates for the worked models (OU via parabolic-cylinder zeros,
-arithmetic Brownian motion, dry-friction via a transcendental pole
-condition, tanh via the Romanovski eigenvalue at the n=1 zero) live in
-`lambda_exact`, and the two boundary asymptotes in `lambda_asymptotic`.
+arithmetic Brownian motion, dry friction via a Lambert-W closed form of
+its pole condition, tanh via the Romanovski eigenvalue at the n=1 zero)
+live in `lambda_exact`, and the two boundary asymptotes in
+`lambda_asymptotic`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy import special
 
 from . import oupcf
 from .errors import InputError, NumericsError
@@ -46,10 +47,6 @@ class DecayEstimate:
     stable: np.ndarray                # stability mask for accel
     lam: float
     table: HTable = field(repr=False, default=None)
-
-    @property
-    def lambda_(self):
-        return self.lam
 
 
 def ratio_sequence(table: HTable, y_plus):
@@ -152,25 +149,20 @@ def _dry_friction_lambda(mu, y_plus):
 
         beta/mu = 1 - exp(-beta*y_plus),   beta in (0, mu),
 
-    whose largest root determines lambda = (mu^2 - beta^2)/4.
+    solved by beta = mu + w with w = W0(-mu*y_plus*exp(-mu*y_plus))/y_plus
+    (principal Lambert W; the other real branch gives the spurious root
+    beta = 0).  lambda = (mu^2 - beta^2)/4 is evaluated as -w(2mu + w)/4,
+    which avoids the cancellation between mu^2 and beta^2 when beta -> mu.
     """
     if y_plus <= 1.0 / mu:
         return mu * mu / 4.0
-
-    g = lambda b: b / mu - 1.0 + np.exp(-b * y_plus)
-    # g(mu) = exp(-mu*y_plus) > 0; scan down until negative
-    hi = mu
-    lo = None
-    for frac in np.linspace(1.0 - 1e-9, 1e-6, 2000):
-        if g(frac * mu) < 0.0:
-            lo = frac * mu
-            break
-        hi = frac * mu
-    if lo is None:
-        raise NumericsError(
-            f"dry-friction pole bracket failed for mu={mu:g}, y_plus={y_plus:g}")
-    beta = brentq(g, lo, hi, xtol=1e-14, rtol=8 * np.finfo(float).eps)
-    return (mu * mu - beta * beta) / 4.0
+    x = mu * y_plus
+    w = special.lambertw(-x * np.exp(-x)).real / y_plus
+    lam = float(-w * (2.0 * mu + w) / 4.0)
+    if lam < np.finfo(float).tiny:
+        raise NumericsError(f"dry-friction rate at mu*y_plus = {x:g} "
+                            "underflows double precision")
+    return lam
 
 
 def tanh_eigenvalues(alpha, gamma, n_max=8):
@@ -185,14 +177,18 @@ def tanh_eigenvalues(alpha, gamma, n_max=8):
 
 def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
                  parameterization="amplitude"):
-    """Exact (or semi-analytic) decay rate for the worked models.
+    """Exact decay rate for the worked models.
 
-    ou           rightmost parabolic-cylinder zero,
+    ou           minus the rightmost zero in s of pcf(s, y_plus)
+                 (`oupcf.rightmost_zero`), for y_plus in about
+                 [-14.8, 37.7]; NumericsError outside,
     abm          mu^2/4 for any boundary,
-    dry_friction mu^2/4 below y_plus = 1/mu, else the pole condition,
+    dry_friction mu^2/4 up to y_plus = 1/mu, beyond it the pole of the
+                 Laplace transform in closed form via Lambert W, up to
+                 mu*y_plus of about 708, where the rate underflows,
     tanh         only the boundary at the n=1 polynomial zero (y_plus = 0)
                  is covered: min of gamma*(alpha-gamma) and the
-                 branch-point value alpha^2/4.
+                 branch-point value alpha^2/4; NumericsError elsewhere.
     """
     y_plus = float(y_plus)
     if model == "ou":

@@ -314,7 +314,6 @@ class HTildeSolution:
     y_reached: float                  # leftmost covered point
     blew_up: bool
     h_tilde: object                   # callable on [y_reached, y_plus]
-    rho_ode: object                   # callable: int_y^{y_plus} h_tilde
 
     def __call__(self, y):
         return self.h_tilde(y)
@@ -343,15 +342,14 @@ def solve_h_tilde(ff: ForceField, lam, y_plus, y_min, eps=1e-4,
     h_start = h0 - eps * h0p
 
     def rhs(y, state):
-        h, _ = state
-        return [lam + h * h - ff.A(y) * h + (2.0 * h - ff.A(y)) / (y_plus - y),
-                -h]
+        h = state[0]
+        return [lam + h * h - ff.A(y) * h + (2.0 * h - ff.A(y)) / (y_plus - y)]
 
     def blew(y, state):
         return abs(state[0]) - blowup
     blew.terminal = True
 
-    sol = solve_ivp(rhs, (y_start, y_min), [h_start, eps * 0.5 * (h0 + h_start)],
+    sol = solve_ivp(rhs, (y_start, y_min), [h_start],
                     method="RK45", dense_output=True, rtol=1e-10, atol=1e-12,
                     events=blew, max_step=0.1)
     blew_up = sol.status == 1
@@ -369,19 +367,8 @@ def solve_h_tilde(ff: ForceField, lam, y_plus, y_min, eps=1e-4,
                        sol.sol(np.clip(y, y_reached, y_start))[0])
         return out if out.ndim else float(out)
 
-    def rho_ode(y):
-        y = np.asarray(y, float)
-        if np.any(y < y_reached - 1e-12) or np.any(y > y_plus + 1e-12):
-            raise InputError(f"rho_ode available on [{y_reached:g}, {y_plus:g}] only")
-        near = y > y_start
-        # Taylor sliver: int_y^{y_plus} (h0 + (z-y_plus) h0') dz
-        d = y_plus - y
-        sliver = h0 * d - 0.5 * h0p * d * d
-        out = np.where(near, sliver, sol.sol(np.clip(y, y_reached, y_start))[1])
-        return out if out.ndim else float(out)
-
     return HTildeSolution(y_plus=y_plus, y_reached=y_reached,
-                          blew_up=blew_up, h_tilde=h_tilde, rho_ode=rho_ode)
+                          blew_up=blew_up, h_tilde=h_tilde)
 
 
 def h_ansatz(model: DensityModel, tau, y, h_tilde=None):

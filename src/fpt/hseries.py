@@ -19,7 +19,7 @@ cutoff matters, and the seeds involve high powers of small h_1 values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 import warnings
@@ -68,7 +68,6 @@ class HTable:
     grid: HGrid
     r_max: int
     log_values: np.ndarray
-    catalan: np.ndarray = field(repr=False, default=None)
 
     @property
     def values(self):
@@ -168,7 +167,7 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
             row[j + 1] = logI - log_psi[j + 1]
         logh[r - 1] = row
 
-    return HTable(grid=grid, r_max=r_max, log_values=logh, catalan=cat)
+    return HTable(grid=grid, r_max=r_max, log_values=logh)
 
 
 def cumulant_integrand(table: HTable, r: int):

@@ -48,12 +48,6 @@ class SolutionGrid:
     probe_F: np.ndarray = None        # shape (n_probe, n_tau_full)
     probe_f: np.ndarray = None
 
-    def probe_index(self, y):
-        for i, yp in enumerate(self.probe_y):
-            if abs(yp - y) < 1e-9:
-                return i
-        raise InputError(f"y = {y:g} was not probed; available: {self.probe_y}")
-
 
 @dataclass(frozen=True)
 class TreeResult:
@@ -254,7 +248,7 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
 # ----------------------------------------------------------------------
 
 def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
-             tau_max=20.0, bridge=True, seed=0, block=None) -> McResult:
+             tau_max=20.0, bridge=True, seed=0) -> McResult:
     """Euler-Maruyama first-passage sampler, dY = A(Y) dtau + sqrt(2) dW.
 
     With bridge=True each surviving step additionally crosses with the

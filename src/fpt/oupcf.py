@@ -2,102 +2,67 @@
 
 The workhorse is
 
-    pcf(s, y) = (1/Gamma(s)) * int_0^inf u^(s-1) exp(y*u - u^2/2) du
+    pcf(s, y) = exp(y^2/4) * D_{-s}(-y),
 
-for s > 0, extended to s <= 0 by the three-term recursion
+with D Whittaker's parabolic cylinder function (DLMF 12.2); for s > 0 it
+is the integral (1/Gamma(s)) * int_0^inf u^(s-1) exp(y*u - u^2/2) du
+(DLMF 12.5.1).  At nonpositive integers it is a Hermite polynomial,
+pcf(-m, y) = (-1)^m He_m(y), and for all s it obeys the three-term
+recursion
 
-    pcf(s, y) = -y*pcf(s+1, y) + (s+1)*pcf(s+2, y),
+    pcf(s, y) = -y*pcf(s+1, y) + (s+1)*pcf(s+2, y).
 
-with the Hermite closed form pcf(-r, y) = (-1)^r He_r(y) at nonpositive
-integers.  Useful identities: pcf(1, y) = Phi(y)/phi(y) and
+Other useful identities: pcf(1, y) = Phi(y)/phi(y) and
 d/dy pcf(s, y) = s*pcf(s+1, y).
 
 The exact OU decay rate for a boundary at y_plus is minus the rightmost
-zero in s of s -> pcf(s, y_plus); `rightmost_zero` locates it by a
-downward scan plus bisection.
+zero in s of s -> pcf(s, y_plus).  `rightmost_zero` brackets it between
+two consecutive integers from the Hermite values and refines it by brentq.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy import integrate, special
 from scipy.optimize import brentq
 
 from .errors import InputError, NumericsError
 
-__all__ = ["PcfEval", "pcf", "pcf_eval", "reflection_product",
-           "rightmost_zero", "hermite_leftmost_zero"]
+__all__ = ["pcf", "reflection_product", "rightmost_zero",
+           "hermite_leftmost_zero"]
 
 Y_MAX = 40.0          # documented evaluation range; overflow is raised beyond
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+M_MAX = 60            # deepest integer bracket rightmost_zero searches
+
+# mpmath functions raise and restore their context's working precision as
+# they run, so one context shared between threads is not thread-safe; each
+# thread gets a private double-precision context, made on first use.
+_MP = threading.local()
 
 
-def _hermite_e_value(r, y):
-    c = np.zeros(r + 1)
-    c[r] = 1.0
-    return hermite_e.hermeval(y, c)
-
-
-def _pcf_base(s, y):
-    """Direct quadrature for s > 0.
-
-    The integral is split at u = 1.  On [0,1] the u^(s-1) endpoint
-    singularity is removed either by the substitution u = v^(1/s)
-    (moderate s) or, for small s where that substitution compresses the
-    integrand into an O(s)-wide boundary layer, by subtracting the
-    endpoint value:  int u^(s-1) e^g du = int u^(s-1) (e^g - 1) du + 1/s.
-    Either way one power of s is absorbed into Gamma(s+1), so the result
-    stays finite as s -> 0+.  On [1,inf) the integrand is peaked at
-    u* = (y + sqrt(y^2 + 4(s-1)))/2; integration is truncated 15 units
-    past the peak, where the Gaussian factor is below 1e-18 of its
-    maximum.
-    """
-    if s <= 0:
-        raise InputError("base-region evaluation needs s > 0")
-    # overflow guard: only the u >= 1 piece can overflow, at its peak
-    disc = y * y + 4.0 * (s - 1.0)
-    ustar = 0.5 * (y + np.sqrt(disc)) if disc > 0.0 else max(y, 0.0)
-    if ustar > 1.0:
-        peak = (s - 1.0) * np.log(ustar) + y * ustar - 0.5 * ustar**2
-        if peak > 690.0:
-            raise NumericsError(
-                f"pcf({s:g}, {y:g}) overflows double precision "
-                f"(peak exponent {peak:.1f}); |y| <= {Y_MAX:g} is the supported range")
-
-    if s >= 0.5:
-        def g(v):
-            u = v ** (1.0 / s)
-            return np.exp(y * u - 0.5 * u * u)
-
-        i1, _ = integrate.quad(g, 0.0, 1.0, **_QUAD_OPTS)
-        i1 /= special.gamma(s + 1.0)
-    else:
-        def g(u):
-            return u ** (s - 1.0) * np.expm1(y * u - 0.5 * u * u)
-
-        i1, _ = integrate.quad(g, 0.0, 1.0, **_QUAD_OPTS)
-        i1 = (i1 + 1.0 / s) / special.gamma(s + 1.0) * s
-        # (i1 + 1/s)/Gamma(s) written without the 1/s blow-up
-
-    def f(u):
-        return u ** (s - 1.0) * np.exp(y * u - 0.5 * u * u)
-
-    hi = max(ustar, 1.0) + 15.0
-    pts = [ustar] if 1.0 < ustar < hi else None
-    i2, _ = integrate.quad(f, 1.0, hi, points=pts, **_QUAD_OPTS)
-    return i1 + i2 / special.gamma(s)
+def _hermite_pcf(m, y):
+    """[pcf(0, y), pcf(-1, y), ..., pcf(-m, y)], i.e. (-1)^k He_k(y), by the
+    three-term recursion."""
+    vals = [1.0, -y]
+    for k in range(2, m + 1):
+        vals.append(-y * vals[-1] - (k - 1) * vals[-2])
+    return vals[:m + 1]
 
 
 def pcf(s, y):
-    """Evaluate the integral-transform parabolic cylinder relative D_s(y).
+    """pcf(s, y) = exp(y^2/4) * D_{-s}(-y) for real s and |y| <= Y_MAX.
 
-    Dispatch: Hermite closed form at nonpositive integer s, direct
-    quadrature for s > 0, downward recursion otherwise.  After a downward
-    ladder the recursion residual at the last rung is checked as an error
-    monitor.
+    Nonpositive integer s use the Hermite closed form, so pcf(0, y) == 1.0
+    exactly.  Every other order is `mpmath.pcfd` at double precision
+    (mpmath raises its working precision where its series cancel), times
+    exp(y^2/4) formed from the exact square of y; both factors are
+    correctly rounded to within a few ulp, so the product is too.
+
+    Raises InputError for non-finite arguments, and NumericsError for
+    |y| > Y_MAX, for a value that overflows double precision, and when
+    mpmath's series fail to converge.
     """
     s = float(s)
     y = float(y)
@@ -106,53 +71,20 @@ def pcf(s, y):
     if abs(y) > Y_MAX:
         raise NumericsError(f"|y| = {abs(y):g} outside supported range {Y_MAX:g}")
     if s <= 0 and s.is_integer():
-        r = int(-s)
-        return (-1.0) ** r * _hermite_e_value(r, y)
-    if s > 0:
-        return _pcf_base(s, y)
+        return _hermite_pcf(int(-s), y)[-1]
 
-    # downward ladder from the base region: know (a, a+1), step down to s
-    n = int(np.ceil(-s)) + 1
-    a = s + n
-    va = _pcf_base(a, y)
-    vb = _pcf_base(a + 1.0, y)
-    first = None                      # ladder value at order s+n-1, still > 0
-    while a > s + 0.5:
-        va, vb = -y * va + a * vb, va
-        a -= 1.0
-        if first is None:
-            first = va
-    # error monitor: the first rung below the base region is itself in
-    # (0, 1], so cross-check it against direct quadrature
-    direct = _pcf_base(s + n - 1.0, y)
-    scale = max(abs(direct), 1e-300)
-    if abs(first - direct) > 1e-8 * scale:
-        raise NumericsError(
-            f"pcf recursion inconsistent at s={s:g}, y={y:g} "
-            f"(first-rung residual {abs(first - direct) / scale:.2e})")
-    return va
-
-
-@dataclass(frozen=True)
-class PcfEval:
-    """Evaluation record: which route produced the value."""
-
-    s: float
-    y: float
-    value: float
-    method: str                       # 'integral' | 'recursion' | 'hermite'
-
-
-def pcf_eval(s, y) -> PcfEval:
-    """Like `pcf`, but reporting the dispatch route taken."""
-    s, y = float(s), float(y)
-    if s <= 0 and s.is_integer():
-        method = "hermite"
-    elif s > 0:
-        method = "integral"
-    else:
-        method = "recursion"
-    return PcfEval(s=s, y=y, value=pcf(s, y), method=method)
+    ctx = getattr(_MP, "ctx", None)
+    if ctx is None:
+        import mpmath
+        ctx = _MP.ctx = mpmath.MPContext()
+    try:
+        growth = ctx.exp(ctx.ldexp(ctx.fmul(y, y, exact=True), -2))
+        value = float(growth * ctx.pcfd(-s, -y))
+    except (ValueError, ctx.NoConvergence) as exc:
+        raise NumericsError(f"pcf({s:g}, {y:g}) failed to converge: {exc}") from exc
+    if not np.isfinite(value):
+        raise NumericsError(f"pcf({s:g}, {y:g}) overflows double precision")
+    return value
 
 
 def reflection_product(s, y, kmax=60, rtol=1e-12):
@@ -192,43 +124,44 @@ def hermite_leftmost_zero(n):
     return float(np.min(real))
 
 
-def rightmost_zero(y_plus, scan_step=0.05, s_floor=-60.0, xtol=1e-12):
+def rightmost_zero(y_plus):
     """Exact OU decay rate: lambda = -s at the rightmost zero of
     s -> pcf(s, y_plus).
 
-    Scans s downward from 0 in steps of `scan_step` until the sign flips
-    (pcf(0, .) = 1 > 0), then bisects.  Asymptotic seeds
-    lambda ~ y_plus^2/4 (far-left boundary) and lambda ~ y_plus*phi(y_plus)
-    (far-right) bound the scan depth.  If the bisected root sits within
-    1e-8 of an integer n and He_n(y_plus) vanishes to machine precision,
-    the exact integer is returned.
+    lambda decreases in y_plus and equals m where y_plus is the leftmost
+    zero of He_m; since the Hermite zeros interlace, lambda lies in
+    (m-1, m] for the first m >= 1 with pcf(-m, y_plus) = (-1)^m He_m(y_plus)
+    <= 0.  That m comes from the Hermite recursion, and one brentq with a
+    relative tolerance refines the zero inside the bracket, so small rates
+    such as 3.98e-14 at y_plus = 8 keep full relative precision.  A root
+    within 1e-8 of an integer n where He_n(y_plus) vanishes to machine
+    precision is returned as exactly n.
+
+    Covers y_plus from about -14.8 (rate M_MAX = 60) to about 37.7, where
+    the rate reaches the smallest normal double; raises NumericsError
+    outside that range.
     """
     y_plus = float(y_plus)
-    seed = max(y_plus * y_plus / 4.0,
-               y_plus * np.exp(-0.5 * y_plus**2) / np.sqrt(2 * np.pi), 1.0)
-    floor = max(s_floor, -(8.0 * seed + 10.0))
+    if not np.isfinite(y_plus):
+        raise InputError("rightmost_zero requires a finite y_plus")
+    herm = _hermite_pcf(M_MAX, y_plus)
+    m = next((k for k in range(1, M_MAX + 1) if herm[k] <= 0.0), None)
+    if m is None:
+        raise NumericsError(
+            f"rightmost_zero: y_plus = {y_plus:g} puts the rate above {M_MAX}")
 
-    f = lambda s: pcf(s, y_plus)
-    s0, f0 = 0.0, 1.0
-    trace = []
-    while True:
-        s1 = s0 - scan_step
-        if s1 < floor:
-            raise NumericsError(
-                "rightmost_zero: no sign change found; scan trace "
-                + ", ".join(f"({a:.3f}, {b:.3e})" for a, b in trace[-10:]))
-        f1 = f(s1)
-        trace.append((s1, f1))
-        if f0 * f1 <= 0.0:
-            break
-        s0, f0 = s1, f1
-
-    root = brentq(f, s1, s0, xtol=xtol, rtol=8 * np.finfo(float).eps)
+    # xtol is the smallest subnormal, so the tolerance stays relative for
+    # every rate above the smallest normal double
+    root = brentq(pcf, -float(m), 1.0 - m, args=(y_plus,), xtol=5e-324,
+                  rtol=8 * np.finfo(float).eps)
     lam = -root
+    if lam < np.finfo(float).tiny:
+        raise NumericsError(f"rightmost_zero: the rate at y_plus = {y_plus:g} "
+                            "underflows double precision")
     # snap to the Hermite-zero case: boundary exactly at a zero of He_n
     near = round(lam)
     if near >= 1 and abs(lam - near) < 1e-8:
-        scale = 1.0 + abs(_hermite_e_value(int(near), abs(y_plus) + 1.0))
-        if abs(_hermite_e_value(int(near), y_plus)) <= 1e-12 * scale:
+        scale = 1.0 + abs(_hermite_pcf(near, abs(y_plus) + 1.0)[-1])
+        if abs(herm[near]) <= 1e-12 * scale:
             return float(near)
     return lam

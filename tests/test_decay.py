@@ -195,6 +195,19 @@ def test_exact_dry_friction_plateau_and_decay():
     # approaches mu^2 e^{-mu y}/2 from above
     assert lam5 == pytest.approx(np.exp(-5.0) / 2, rel=0.05)
     assert lam5 > np.exp(-5.0) / 2
+    # just above the knee the pole beta = sqrt(1 - 4 lambda) -> 0, and at
+    # mu*y_plus = 20 it sits 2e-9 below mu; reference: the pole condition
+    # beta = 1 - exp(-beta*y_plus) solved at 60 digits
+    import mpmath as mp
+    for yp, beta0 in ((1.0 + 1e-9, 2e-9), (20.0, 1.0)):
+        with mp.workdps(60):
+            y = mp.mpf(yp)
+            beta = mp.findroot(lambda b: b - 1 + mp.exp(-b * y), beta0)
+            ref = float((1 - beta**2) / 4)
+        assert fpt.lambda_exact("dry_friction", yp, mu=1.0) == pytest.approx(
+            ref, rel=1e-13)
+    with pytest.raises(NumericsError):           # mu^2 e^{-800}/2 underflows
+        fpt.lambda_exact("dry_friction", 800.0, mu=1.0)
 
 
 def test_exact_dry_friction_continuous_at_knee():

@@ -1,5 +1,7 @@
 import csv
 import pathlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,19 @@ import fpt
 from fpt.errors import InputError, NumericsError
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _mp_rate(y_plus):
+    """OU rate from a 40-digit mpmath root of nu -> D_nu(-y_plus), bracketed
+    by the first integer order where D changes sign."""
+    import mpmath as mp
+    with mp.workdps(40):
+        y = mp.mpf(y_plus)
+        f = lambda nu: mp.pcfd(nu, -y, zeroprec=400)
+        m = 1
+        while f(m) > 0:
+            m += 1
+        return float(mp.findroot(f, (m - 1, m), solver="anderson"))
 
 
 # ----------------------------------------------------------------------
@@ -48,11 +63,47 @@ def test_recursion_residual(s, y):
     assert abs(lhs) / scale < 1e-9
 
 
+# large y with s < -1, where downward recursion from s > 0 loses accuracy,
+# and orders within 1e-15 and 1e-9 of integers, where scipy.special.pbdv does
+_MP_POINTS = ([(-3.5, 10.0), (-3.5, 20.0), (-5.5, 10.0), (-10.2, 10.0),
+               (0.5, 1.0), (2.4, -3.0), (-0.3, 2.5), (-1.7, -6.0),
+               (7.5, 30.0), (3.0, -38.5)]
+              + [(sign * n + d, y) for n in range(1, 6) for sign in (-1, 1)
+                 for d in (-1e-9, -1e-15, 1e-15, 1e-9) for y in (-2.33, 1.1)])
+
+
+def test_matches_mpmath():
+    import mpmath as mp
+    with mp.workdps(40):
+        for s, y in _MP_POINTS:
+            ref = mp.exp(mp.mpf(y) ** 2 / 4) * mp.pcfd(-mp.mpf(s), -mp.mpf(y))
+            assert fpt.pcf(s, y) == pytest.approx(float(ref), rel=1e-13), (s, y)
+        # pcf works in its own context: the caller's precision is untouched
+        assert mp.mp.dps == 40
+
+
+def test_threads_give_serial_values():
+    points = _MP_POINTS[:24]
+    serial = [fpt.pcf(s, y) for s, y in points]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda p: fpt.pcf(*p), points * 4))
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == serial * 4
+
+
 def test_overflow_raises_not_inf():
     with pytest.raises(NumericsError):
         fpt.pcf(1.0, 45.0)
     with pytest.raises(NumericsError):
         fpt.pcf(2.0, 39.0)
+    # rates above 60, or below the smallest normal double, are not returned
+    for y_plus in (-15.0, 38.0):
+        with pytest.raises(NumericsError):
+            fpt.rightmost_zero(y_plus)
 
 
 def test_rejects_nonfinite():
@@ -101,6 +152,9 @@ def test_hermite_leftmost_zeros():
 def test_rightmost_zero_inverts_hermite_zeros(n):
     zeta = fpt.hermite_leftmost_zero(n)
     assert fpt.rightmost_zero(zeta) == pytest.approx(float(n), abs=1e-8)
+    # either side of the zero the bracket moves by one integer
+    for y in (zeta - 1e-10, zeta + 1e-10):
+        assert fpt.rightmost_zero(y) == pytest.approx(_mp_rate(y), rel=1e-12)
 
 
 def test_rightmost_zero_golden_table():
@@ -117,17 +171,13 @@ def test_rightmost_zero_golden_table():
         else:
             # the tabulated boundary is a 3 s.f. rounding of the true abscissa
             assert abs(got - lam) <= 2e-2
+    # the 2e-2 above cannot tell 3.99208 from 4 at -2.33; deep in the right
+    # tail the rate is 6.26e-11 at 7 and 3.98e-14 at 8
+    for yp in (-2.33, 7.0, 8.0):
+        assert fpt.rightmost_zero(yp) == pytest.approx(_mp_rate(yp), rel=1e-12)
 
 
 def test_rightmost_zero_monotone_decreasing():
     grid = np.linspace(-1.5, 3.0, 50)
     lams = np.array([fpt.rightmost_zero(y) for y in grid])
     assert np.all(np.diff(lams) < 0.0)
-
-
-def test_pcf_eval_reports_dispatch_route():
-    assert fpt.pcf_eval(1.5, 0.3).method == "integral"
-    assert fpt.pcf_eval(-2.0, 0.3).method == "hermite"
-    assert fpt.pcf_eval(-0.7, 0.3).method == "recursion"
-    rec = fpt.pcf_eval(-2.0, 1.7)
-    assert rec.value == pytest.approx(1.7**2 - 1.0, abs=1e-12)
