@@ -150,14 +150,24 @@ def rightmost_zero(y_plus):
         raise NumericsError(
             f"rightmost_zero: y_plus = {y_plus:g} puts the rate above {M_MAX}")
 
+    underflow = (f"rightmost_zero: the rate at y_plus = {y_plus:g} "
+                 "underflows double precision")
     # xtol is the smallest subnormal, so the tolerance stays relative for
     # every rate above the smallest normal double
-    root = brentq(pcf, -float(m), 1.0 - m, args=(y_plus,), xtol=5e-324,
-                  rtol=8 * np.finfo(float).eps)
+    try:
+        root = brentq(pcf, -float(m), 1.0 - m, args=(y_plus,), xtol=5e-324,
+                      rtol=8 * np.finfo(float).eps)
+    except (NumericsError, RuntimeError):
+        # on (-1, 0) pcf grows like |s|*exp(y^2/2) and its zero is of size
+        # exp(-y^2/2): brentq overflows or runs out of iterations only when
+        # that zero is below the smallest normal, i.e. pcf(-tiny) < 0
+        tiny = np.finfo(float).tiny
+        if m == 1 and abs(y_plus) <= Y_MAX and pcf(-tiny, y_plus) < 0.0:
+            raise NumericsError(underflow) from None
+        raise
     lam = -root
     if lam < np.finfo(float).tiny:
-        raise NumericsError(f"rightmost_zero: the rate at y_plus = {y_plus:g} "
-                            "underflows double precision")
+        raise NumericsError(underflow)
     # snap to the Hermite-zero case: boundary exactly at a zero of He_n
     near = round(lam)
     if near >= 1 and abs(lam - near) < 1e-8:

@@ -158,7 +158,6 @@ def test_c04_abm_closed_forms():
 
 def test_c05_ou_equilibrium_boundary_exact():
     import mpmath as mp
-    mp.mp.dps = 50
     ff, im = fpt.builtin("ou")
     for y0 in (-0.5, -1.0, -2.0):
         m = fpt.build_model(ff, im, y0, 0.0, model_name="ou")
@@ -167,13 +166,14 @@ def test_c05_ou_equilibrium_boundary_exact():
         tau = np.geomspace(1e-3, 10.0, 50)
         got = fpt.log_density(m, tau)
         ref = []
-        for t in tau:
-            t = mp.mpf(float(t))
-            q = mp.e ** (-2 * t)
-            val = (abs(mp.mpf(y0)) * mp.e ** (-t)
-                   / mp.sqrt(mp.pi * (1 - q) ** 3 / 2)
-                   * mp.e ** (-(y0 * mp.e ** (-t)) ** 2 / (2 * (1 - q))))
-            ref.append(float(mp.log(val)))
+        with mp.workdps(50):
+            for t in tau:
+                t = mp.mpf(float(t))
+                q = mp.e ** (-2 * t)
+                val = (abs(mp.mpf(y0)) * mp.e ** (-t)
+                       / mp.sqrt(mp.pi * (1 - q) ** 3 / 2)
+                       * mp.e ** (-(y0 * mp.e ** (-t)) ** 2 / (2 * (1 - q))))
+                ref.append(float(mp.log(val)))
         assert np.max(np.abs(got - np.array(ref))) < 1e-10
     _report(5, True, "exact to 1e-10 relative, rho = 0, nu = 0")
 

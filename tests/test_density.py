@@ -12,15 +12,15 @@ def _ou0_log_closed_form(tau, y0):
     equilibrium, evaluated in 50-digit arithmetic so the comparison is
     independent of the library's floating-point arrangement."""
     import mpmath as mp
-    mp.mp.dps = 50
     out = []
-    for t in np.atleast_1d(tau):
-        t = mp.mpf(float(t))
-        q = mp.e ** (-2 * t)
-        val = (abs(mp.mpf(y0)) * mp.e ** (-t)
-               / mp.sqrt(mp.pi * (1 - q) ** 3 / 2)
-               * mp.e ** (-(y0 * mp.e ** (-t)) ** 2 / (2 * (1 - q))))
-        out.append(float(mp.log(val)))
+    with mp.workdps(50):
+        for t in np.atleast_1d(tau):
+            t = mp.mpf(float(t))
+            q = mp.e ** (-2 * t)
+            val = (abs(mp.mpf(y0)) * mp.e ** (-t)
+                   / mp.sqrt(mp.pi * (1 - q) ** 3 / 2)
+                   * mp.e ** (-(y0 * mp.e ** (-t)) ** 2 / (2 * (1 - q))))
+            out.append(float(mp.log(val)))
     return np.array(out)
 
 

@@ -96,6 +96,42 @@ def test_quadrature_measure_matches_closed_forms():
     ref = np.where(pts <= 0, np.exp(mu * pts) / 2, 1 - np.exp(-mu * pts) / 2)
     assert im_df.Psi(pts) == pytest.approx(ref, abs=1e-10)
 
+    # the same kink between nodes (spacing 1/8 puts 0.3 inside a panel)
+    im_k = fpt.measure_from_drift(lambda y: -np.sign(y - 0.3),
+                                  domain=(-40.0, 40.0), n=641)
+    u = pts - 0.3
+    ref = np.where(u <= 0, np.exp(u) / 2, 1 - np.exp(-u) / 2)
+    assert im_k.Psi(pts) == pytest.approx(ref, abs=1e-8)
+    assert im_k.log_psi(pts) == pytest.approx(np.log(0.5) - np.abs(u), abs=1e-8)
+
+    # tanh drift against the builtin closed form, deep into the left tail
+    z = fpt.HGrid().nodes
+    im_t = fpt.measure_from_drift(lambda y: -2.0 * np.tanh(y))
+    _, im_ref = fpt.builtin("tanh", alpha=2.0, gamma=1.0)
+    assert z[0] == -10.0
+    assert im_t.log_Psi(z) == pytest.approx(im_ref.log_Psi(z), rel=1e-9)
+
+
+def test_quadrature_measure_calls_drift_a_fixed_number_of_times():
+    """Queries are answered by vectorized calls of A: the count does not
+    grow with the number of query points."""
+    calls = []
+
+    def A(y):
+        calls.append(np.size(y))
+        return -np.asarray(y, float) - 0.1 * np.sin(y)
+
+    im = fpt.measure_from_drift(A, domain=(-30.0, 30.0))
+    z = fpt.HGrid(z_max=3.0).nodes
+    assert z.size == 417
+    counts = []
+    for q in (z[:5], z):
+        calls.clear()
+        im.log_psi(q)
+        im.log_Psi(q)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
+
 
 # ----------------------------------------------------------------------
 # Lamperti reduction

@@ -158,14 +158,14 @@ def test_table_matches_taylor_coefficients_of_log_derivative(ou_table6):
     computed here in 40-digit arithmetic from the parabolic-cylinder
     eigenfunctions, entirely outside the marching scheme."""
     import mpmath as mp
-    mp.mp.dps = 40
 
     def bigD(s, y):
         return mp.e ** (y * y / 4) * mp.pcfd(-s, -y)
 
     for y in (-1.0, 0.0, 1.0, 2.5):
         f = lambda s: -s * bigD(s + 1, y) / bigD(s, y)
-        coef = mp.taylor(f, 0, 4)
+        with mp.workdps(40):
+            coef = mp.taylor(f, 0, 4)
         for r in range(1, 5):
             exact = float((-1) ** r * coef[r])
             # 5e-4 is the trapezium-march discretization scale at step 1/32

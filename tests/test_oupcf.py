@@ -101,8 +101,10 @@ def test_overflow_raises_not_inf():
     with pytest.raises(NumericsError):
         fpt.pcf(2.0, 39.0)
     # rates above 60, or below the smallest normal double, are not returned
-    for y_plus in (-15.0, 38.0):
-        with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError):
+        fpt.rightmost_zero(-15.0)
+    for y_plus in (37.8, 38.0, 40.0):
+        with pytest.raises(NumericsError, match="underflow"):
             fpt.rightmost_zero(y_plus)
 
 
