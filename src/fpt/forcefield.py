@@ -174,7 +174,8 @@ def _tanh_field(alpha, gamma, parameterization):
         return log_norm - p * log_cosh(gamma * np.asarray(y, float))
 
     def Psi(y):
-        t = 0.5 * (1.0 + np.tanh(gamma * np.asarray(y, float)))
+        # (1 + tanh(gamma y)) / 2 without its cancellation in the left tail
+        t = special.expit(2.0 * gamma * np.asarray(y, float))
         return special.betainc(p / 2.0, p / 2.0, t)
 
     im = InvariantMeasure(psi=lambda y: np.exp(log_psi(y)), Psi=Psi,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericsError
 from .forcefield import ForceField
@@ -51,11 +50,21 @@ class SolutionGrid:
 
 @dataclass(frozen=True)
 class TreeResult:
-    tau_nodes: np.ndarray
+    """Lattice output.  Only the mass absorbed within each step is stored;
+    the step-end times, the cumulative absorption F and the density are
+    derived from it on each access."""
+
     absorbed_mass: np.ndarray         # mass absorbed within each step
-    F: np.ndarray                     # cumulative absorption at step ends
     dy: float
     dtau: float
+
+    @property
+    def tau_nodes(self):
+        return self.dtau * np.arange(1, len(self.absorbed_mass) + 1)
+
+    @property
+    def F(self):
+        return np.cumsum(self.absorbed_mass)
 
     @property
     def density(self):
@@ -94,6 +103,11 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     The far field is truncated with a Dirichlet zero at y_min
     (default y_plus - 12, where the hitting probability is negligible for
     every built-in field).
+
+    Both schemes solve with the tridiagonal matrix I - (dtau/2) L, which
+    LAPACK factors once (dgttrf); each step is one in-place dgttrs solve
+    on a right-hand side built in a preallocated buffer.  Every step
+    checks that F stays in [0, 1] and raises NumericsError if it leaves.
     """
     y_plus = float(y_plus)
     if y_min is None:
@@ -109,16 +123,22 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 
     # interior operator  L F = A F_y + F_yy  (rows i = 1..M-1)
     lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    diag = np.full(M - 1, -2.0 / h**2)
+    diag = -2.0 / h**2
     upper = Ay[1:M] / (2 * h) + 1.0 / h**2
-    L = sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csc")
-    bc = np.zeros(M - 1)
-    bc[-1] = upper[-1]                # F(., y_plus) = 1 enters the last row
+    half = 0.5 * dtau
 
     # one factorization serves both schemes: CN with step dtau and
     # backward Euler with step dtau/2 share the matrix I - (dtau/2) L
-    I = sp.identity(M - 1, format="csc")
-    lu = splu((I - 0.5 * dtau * L).tocsc())
+    *lu, info = lapack.dgttrf(-half * lower[1:],
+                              np.full(M - 1, 1.0 - half * diag),
+                              -half * upper[:-1])
+    if info != 0:
+        raise NumericsError(f"PDE step matrix is singular (dgttrf info {info})")
+    # explicit half of CN, (I + (dtau/2) L) F, reads F(., y_min) = 0 and
+    # F(., y_plus) = 1 from the full profile; the implicit half's
+    # boundary value enters the last row as `bc`
+    c_mid, c_lo, c_up = 1.0 + half * diag, half * lower, half * upper
+    bc = half * upper[-1]
 
     probe_idx = []
     for yp in probe_y:
@@ -128,6 +148,9 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
         if abs(y[i] - yp) > 1e-9:
             warnings.warn(f"probe {yp:g} snapped to grid node {y[i]:.6g}")
         probe_idx.append(i)
+    # each probe reads its node and both neighbours, one row per step
+    stencil = np.array([(i - 1, i, i + 1) for i in probe_idx],
+                       dtype=np.intp).reshape(-1)
 
     n_steps = int(round(tau_max / dtau))
     stride = max(1, int(np.ceil((n_steps + 1) / max_stored)))
@@ -138,53 +161,55 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 
     Fs = np.zeros((len(stored_steps), M + 1))
     fs = np.zeros((len(stored_steps), M + 1))
-    ptau = dtau * np.arange(n_steps + 1)
-    pF = np.zeros((len(probe_idx), n_steps + 1))
-    pf = np.zeros((len(probe_idx), n_steps + 1))
+    reads = np.zeros((n_steps + 1, stencil.size))
 
-    def full_profile(Fv):
-        out = np.empty(M + 1)
-        out[0], out[-1] = 0.0, 1.0
-        out[1:M] = Fv
-        return out
-
-    def spatial_density(Ffull):
-        d = np.zeros(M + 1)
-        d[1:M] = (Ay[1:M] * (Ffull[2:] - Ffull[:-2]) / (2 * h)
-                  + (Ffull[2:] - 2 * Ffull[1:M] + Ffull[:-2]) / h**2)
-        return d
-
-    F = np.zeros(M - 1)
-    Fs[0] = full_profile(F)
+    # two full profiles swap roles each solve: the right-hand side is
+    # built in the interior of `nxt` and solved there in place
+    cur = np.zeros(M + 1)
+    cur[-1] = 1.0
+    nxt = cur.copy()
+    tmp = np.empty(M - 1)
+    Fs[0] = cur
     for step in range(1, n_steps + 1):
-        if step <= 2:
-            for _ in range(2):        # two BE half steps per nominal step
-                F = lu.solve(F + 0.5 * dtau * bc)
-        else:
-            F = lu.solve(F + 0.5 * dtau * (L @ F) + dtau * bc)
-        if np.min(F) < -1e-6 or np.max(F) > 1.0 + 1e-6:
+        startup = step <= 2           # two BE half steps per nominal step
+        for _ in range(2 if startup else 1):
+            rhs = nxt[1:M]
+            if startup:
+                rhs[:] = cur[1:M]
+            else:
+                np.multiply(cur[1:M], c_mid, out=rhs)
+                np.multiply(c_lo, cur[:-2], out=tmp)
+                rhs += tmp
+                np.multiply(c_up, cur[2:], out=tmp)
+                rhs += tmp
+            rhs[-1] += bc
+            lapack.dgttrs(*lu, rhs, overwrite_b=1)
+            cur, nxt = nxt, cur
+        F = cur[1:M]
+        lo, hi = F.min(), F.max()
+        if lo < -1e-6 or hi > 1.0 + 1e-6:
             raise NumericsError(
                 f"PDE solution left [0,1] at step {step} "
-                f"(range [{np.min(F):.3e}, {np.max(F):.3e}]); refine dtau")
+                f"(range [{lo:.3e}, {hi:.3e}]); refine dtau")
 
-        if probe_idx or step in store_at:
-            Ffull = full_profile(F)
-        for k, i in enumerate(probe_idx):
-            pF[k, step] = Ffull[i]
-            pf[k, step] = (Ay[i] * (Ffull[i + 1] - Ffull[i - 1]) / (2 * h)
-                           + (Ffull[i + 1] - 2 * Ffull[i] + Ffull[i - 1]) / h**2)
-        if step in store_at:
-            k = store_at[step]
-            Fs[k] = Ffull
-            fs[k] = spatial_density(Ffull)
+        np.take(cur, stencil, out=reads[step])
+        k = store_at.get(step)
+        if k is not None:
+            Fs[k] = cur
+            fs[k, 1:M] = (Ay[1:M] * (cur[2:] - cur[:-2]) / (2 * h)
+                          + (cur[2:] - 2 * cur[1:M] + cur[:-2]) / h**2)
 
+    ptau = pF = pf = None
+    if probe_idx:
+        Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
+        Ai = Ay[probe_idx][:, None]
+        ptau = dtau * np.arange(n_steps + 1)
+        pF = F0
+        pf = Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
     return SolutionGrid(
         y_nodes=y, tau_nodes=dtau * np.asarray(stored_steps, float),
-        F=Fs, f=fs,
-        probe_y=tuple(y[i] for i in probe_idx),
-        probe_tau=ptau if probe_idx else None,
-        probe_F=pF if probe_idx else None,
-        probe_f=pf if probe_idx else None)
+        F=Fs, f=fs, probe_y=tuple(y[i] for i in probe_idx),
+        probe_tau=ptau, probe_F=pF, probe_f=pf)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +230,8 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
     y_plus, y0 = float(y_plus), float(y0)
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
+    if not (dtau > 0 and tau_max > 0 and span > 0):
+        raise InputError("dtau, tau_max and span must be positive")
     dy0 = np.sqrt(6.0 * dtau)
     n0 = max(1, int(round((y_plus - y0) / dy0)))
     dy = (y_plus - y0) / n0
@@ -238,61 +265,91 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
         new[0] = 0.0
         mass = new
 
-    F = np.cumsum(absorbed)
-    return TreeResult(tau_nodes=dtau * np.arange(1, n_steps + 1),
-                      absorbed_mass=absorbed, F=F, dy=dy, dtau=dtau)
+    return TreeResult(absorbed_mass=absorbed, dy=dy, dtau=dtau)
 
 
 # ----------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------
 
+# Generator.random returns multiples of 2**-53 and exp(-37) < 2**-53, so a
+# bridge probability exp(-g0 g1 / dt) with g0 g1 >= 37 dt fires only on a
+# zero draw: skipping that draw moves the crossing law by at most 2**-53
+# per path-step.
+_BRIDGE_CUT = 37.0
+
+
 def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
              tau_max=20.0, bridge=True, seed=0) -> McResult:
     """Euler-Maruyama first-passage sampler, dY = A(Y) dtau + sqrt(2) dW.
 
-    With bridge=True each surviving step additionally crosses with the
-    Brownian-bridge probability exp(-(y_plus-Y_i)(y_plus-Y_{i+1})/dt)
-    (diffusion coefficient 2), removing most of the O(sqrt(dt))
-    discretization bias of the naive scheme.  Fully reproducible from
-    `seed`; paths still alive at tau_max are censored and counted.
+    Each path carries its gap g = y_plus - Y and crosses in a step when
+    the new gap g1 is <= 0.  With bridge=True a surviving step
+    additionally crosses with the Brownian-bridge probability
+    exp(-g0 g1 / dt) (diffusion coefficient 2), removing most of the
+    O(sqrt(dt)) discretization bias of the naive scheme.  Its uniform is
+    drawn only where g0 g1 < 37 dt: elsewhere the probability is below
+    exp(-37) < 2**-53, the spacing of `Generator.random`, so only a zero
+    draw could fire.  Each step draws the normals of the live paths, then
+    those uniforms.  Fully reproducible from `seed`; paths still alive at
+    tau_max are censored and counted.  `samples` come out sorted.
     """
     y_plus, y0 = float(y_plus), float(y0)
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
+    if not (dt > 0 and tau_max > 0 and n_paths > 0):
+        raise InputError("dt, tau_max and n_paths must be positive")
     if dt > 1e-2:
         warnings.warn("dt above 1e-2 gives visibly biased hitting times")
     rng = np.random.default_rng(seed)
     n_steps = int(round(tau_max / dt))
     sq = np.sqrt(2.0 * dt)
+    cut = _BRIDGE_CUT * dt
 
-    alive = np.full(n_paths, y0, dtype=float)
-    hit_times = []
+    # preallocated buffers, sliced to the live paths after each step with
+    # hits; `gap` and `new_gap` swap roles on every other step
+    gap = np.full(n_paths, y_plus - y0)
+    new_gap, y, z, w = (np.empty(n_paths) for _ in range(4))
+    mask = np.empty(n_paths, dtype=bool)
+    hit_steps, hit_counts = [], []
+    n = n_paths
     for step in range(1, n_steps + 1):
-        n_alive = alive.shape[0]
-        if n_alive == 0:
-            break
-        prop = alive + np.asarray(ff.A(alive), float) * dt \
-            + sq * rng.standard_normal(n_alive)
-        crossed = prop >= y_plus
+        np.subtract(y_plus, gap, out=y)
+        np.multiply(ff.A(y), dt, out=w)
+        rng.standard_normal(out=z)
+        np.multiply(z, sq, out=z)
+        np.add(w, z, out=w)
+        np.subtract(gap, w, out=new_gap)
         if bridge:
-            surv = ~crossed
-            g0 = y_plus - alive[surv]
-            g1 = y_plus - prop[surv]
-            with np.errstate(under="ignore"):
-                p = np.exp(-g0 * g1 / dt)
-            hit_bridge = rng.random(g0.shape[0]) < p
-            idx = np.flatnonzero(surv)
-            crossed[idx[hit_bridge]] = True
-        n_hit = int(np.count_nonzero(crossed))
-        if n_hit:
-            hit_times.append(np.full(n_hit, step * dt))
-            alive = prop[~crossed]
+            # candidates: crossed (g0 g1 <= 0) or close enough to bridge
+            np.multiply(gap, new_gap, out=w)
+            np.less(w, cut, out=mask)
         else:
-            alive = prop
+            np.less_equal(new_gap, 0.0, out=mask)
+        hit = mask.nonzero()[0]
+        if bridge and hit.size:
+            crossed = new_gap[hit] <= 0.0
+            near = ~crossed
+            if near.any():
+                p = np.exp(w[hit[near]] / -dt)
+                crossed[near] = rng.random(p.size) < p
+            hit = hit[crossed]
+        if hit.size:
+            hit_steps.append(step)
+            hit_counts.append(hit.size)
+            n -= hit.size
+            if n == 0:
+                break
+            mask.fill(True)
+            mask[hit] = False
+            new_gap.compress(mask, out=gap[:n])
+            gap, new_gap, y, z, w, mask = (gap[:n], new_gap[:n], y[:n], z[:n],
+                                           w[:n], mask[:n])
+        else:
+            gap, new_gap = new_gap, gap
 
-    samples = np.concatenate(hit_times) if hit_times else np.empty(0)
-    return McResult(samples=np.sort(samples), censored_count=int(alive.shape[0]),
+    samples = dt * np.repeat(np.asarray(hit_steps, float), hit_counts)
+    return McResult(samples=samples, censored_count=n,
                     dt=dt, n_paths=n_paths, seed=seed, bridge=bridge)
 
 

@@ -152,21 +152,19 @@ def rightmost_zero(y_plus):
 
     underflow = (f"rightmost_zero: the rate at y_plus = {y_plus:g} "
                  "underflows double precision")
+    # on (-1, 0) pcf grows like |s|*exp(y^2/2) and its zero is of size
+    # exp(-y^2/2); past y^2/2 = 700 that zero nears the smallest normal
+    # double, and one value, pcf(-tiny) < 0, shows it lies below, where
+    # brentq would spend its iterations on subnormal numbers
+    tiny = np.finfo(float).tiny
+    if m == 1 and 0.5 * y_plus * y_plus > 700.0 and pcf(-tiny, y_plus) < 0.0:
+        raise NumericsError(underflow)
     # xtol is the smallest subnormal, so the tolerance stays relative for
     # every rate above the smallest normal double
-    try:
-        root = brentq(pcf, -float(m), 1.0 - m, args=(y_plus,), xtol=5e-324,
-                      rtol=8 * np.finfo(float).eps)
-    except (NumericsError, RuntimeError):
-        # on (-1, 0) pcf grows like |s|*exp(y^2/2) and its zero is of size
-        # exp(-y^2/2): brentq overflows or runs out of iterations only when
-        # that zero is below the smallest normal, i.e. pcf(-tiny) < 0
-        tiny = np.finfo(float).tiny
-        if m == 1 and abs(y_plus) <= Y_MAX and pcf(-tiny, y_plus) < 0.0:
-            raise NumericsError(underflow) from None
-        raise
+    root = brentq(pcf, -float(m), 1.0 - m, args=(y_plus,), xtol=5e-324,
+                  rtol=8 * np.finfo(float).eps)
     lam = -root
-    if lam < np.finfo(float).tiny:
+    if lam < tiny:
         raise NumericsError(underflow)
     # snap to the Hermite-zero case: boundary exactly at a zero of He_n
     near = round(lam)

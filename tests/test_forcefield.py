@@ -110,6 +110,9 @@ def test_quadrature_measure_matches_closed_forms():
     _, im_ref = fpt.builtin("tanh", alpha=2.0, gamma=1.0)
     assert z[0] == -10.0
     assert im_t.log_Psi(z) == pytest.approx(im_ref.log_Psi(z), rel=1e-9)
+    # for p = amp/gamma = 2, Psi is the logistic function: exact on the grid
+    assert im_ref.log_Psi(z) == pytest.approx(-np.log1p(np.exp(-2.0 * z)),
+                                              rel=1e-12)
 
 
 def test_quadrature_measure_calls_drift_a_fixed_number_of_times():

@@ -124,6 +124,22 @@ def test_tree_rejects_oversized_step(ou):
         fpt.solve_tree(ou[0], 1.0, 0.0, dtau=0.5, tau_max=2.0)
 
 
+@pytest.mark.parametrize("kwargs", [dict(dt=-1e-3), dict(dt=0.0),
+                                    dict(tau_max=-5.0), dict(n_paths=0)])
+def test_mc_rejects_bad_inputs(ou, kwargs):
+    args = dict(dt=1e-3, n_paths=10, tau_max=1.0, seed=0) | kwargs
+    with pytest.raises(InputError):
+        fpt.simulate(ou[0], 1.0, 0.0, **args)
+
+
+@pytest.mark.parametrize("kwargs", [dict(dtau=-1e-3), dict(dtau=0.0),
+                                    dict(tau_max=0.0), dict(span=-1.0)])
+def test_tree_rejects_bad_inputs(ou, kwargs):
+    args = dict(dtau=1e-3, tau_max=1.0) | kwargs
+    with pytest.raises(InputError):
+        fpt.solve_tree(ou[0], 1.0, 0.0, **args)
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------
@@ -177,6 +193,25 @@ def test_mc_tail_slope_matches_decay_rate(ou):
     surv = 1.0 - np.searchsorted(res.samples, t, side="right") / res.n_paths
     slope = -np.polyfit(t, np.log(surv), 1)[0]
     assert slope == pytest.approx(lam, rel=0.05)
+
+
+def test_mc_matches_abm_inverse_gaussian_law(abm):
+    """Constant drift mu: the Euler step and the bridge probability are
+    both exact, so at the step ends the sampler follows the inverse-Gaussian
+    law F(tau) = Phi((mu tau - b) / sqrt(2 tau))
+                 + e^{mu b} Phi(-(mu tau + b) / sqrt(2 tau)),
+    except for the skipped bridge draws, at most 2**-53 per path-step."""
+    ff, _ = abm
+    mu, b, dt, n, tau_max = 1.0, 1.0, 1e-2, 200_000, 20.0
+    res = fpt.simulate(ff, b, 0.0, dt=dt, n_paths=n, tau_max=tau_max, seed=11)
+    n_steps = int(round(tau_max / dt))
+    tau = dt * np.arange(1, n_steps + 1)       # the sampler's step ends
+    ref = (special.ndtr((mu * tau - b) / np.sqrt(2 * tau))
+           + np.exp(mu * b) * special.ndtr(-(mu * tau + b) / np.sqrt(2 * tau)))
+    ks = fpt.kolmogorov_distance(res.samples, tau, ref, n_paths=n)
+    dkw = np.sqrt(np.log(2 / 1e-6) / (2 * n))  # P(KS > dkw) <= 1e-6
+    slack = n_steps * 2.0**-53                 # skipped draws; Euler slack is 0
+    assert ks <= dkw + slack
 
 
 def test_mc_rejects_bad_geometry(ou):

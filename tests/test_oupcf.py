@@ -108,6 +108,25 @@ def test_overflow_raises_not_inf():
             fpt.rightmost_zero(y_plus)
 
 
+def test_rightmost_zero_fails_fast_past_underflow(monkeypatch):
+    """Past the underflow onset one pcf value decides, before brentq could
+    spend its iterations on subnormal numbers."""
+    from fpt import oupcf
+    real, calls = oupcf.pcf, []
+
+    def counting(s, y):
+        calls.append(s)
+        return real(s, y)
+
+    monkeypatch.setattr(oupcf, "pcf", counting)
+    with pytest.raises(NumericsError, match="underflow"):
+        oupcf.rightmost_zero(37.8)
+    assert len(calls) <= 5
+    # rates just below the onset of underflow are still returned
+    assert oupcf.rightmost_zero(37.7) == pytest.approx(3.5297440997728714e-308,
+                                                      rel=1e-14)
+
+
 def test_rejects_nonfinite():
     with pytest.raises(InputError):
         fpt.pcf(np.nan, 0.0)
