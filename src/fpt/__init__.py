@@ -12,8 +12,7 @@ from .errors import FptError, InputError, NumericsError
 from .forcefield import (ForceField, InvariantMeasure, SdeSpec,
                          ClassificationFlags, builtin, lamperti, classify,
                          measure_from_drift, load_field)
-from .oupcf import (pcf, reflection_product, rightmost_zero,
-                    hermite_leftmost_zero)
+from .oupcf import pcf, rightmost_zero, hermite_leftmost_zero
 from .hseries import (HGrid, HTable, catalan_numbers, h1, build_table,
                       cumulant_integrand, integrate_h)
 from .decay import (DecayEstimate, ratio_sequence, aitken_A0, aitken_A1,
@@ -22,6 +21,6 @@ from .decay import (DecayEstimate, ratio_sequence, aitken_A0, aitken_A1,
 from .cumulants import CumulantSet, cumulants, ou_mean_regime
 from .density import (DensityModel, theta_fisher, nu_coefficient, build_model,
                       calibrate_rho, eval_density, log_density, h_ansatz,
-                      solve_h_tilde, ou_short_time_remainder, levy_smirnov)
+                      solve_h_tilde, ou_short_time_remainder)
 from .oracle import (SolutionGrid, TreeResult, McResult, solve_pde, solve_tree,
                      simulate, kolmogorov_distance, l1_distance)

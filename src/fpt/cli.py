@@ -86,13 +86,7 @@ def _write_csv(path, cfg: RunConfig, columns, rows):
 def _field_from_args(args):
     if getattr(args, "config", None):
         return load_field(args.config), "custom"
-    params = {}
-    if args.model in ("dry_friction", "abm"):
-        params["mu"] = args.mu
-    if args.model == "tanh":
-        params.update(alpha=args.alpha, gamma=args.gamma,
-                      parameterization=args.parameterization)
-    return builtin(args.model, **params), args.model
+    return builtin(args.model, **_model_params(args)), args.model
 
 
 def _model_params(args):

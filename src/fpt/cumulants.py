@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InputError
+from .forcefield import _integrate_segments
 from .hseries import HTable, integrate_h, _log_h1
 
 __all__ = ["CumulantSet", "cumulants", "ou_mean_regime", "OU_MEAN_REGIMES"]
@@ -65,9 +65,8 @@ def cumulants(table: HTable, y0, y_plus, r_max=None, im=None,
 
     mean_direct = None
     if im is not None and y_plus > y0:
-        val, _ = integrate.quad(lambda z: np.exp(_log_h1(im, z)), y0, y_plus,
-                                limit=200, epsabs=0.0, epsrel=1e-11)
-        mean_direct = float(val)
+        mean_direct = float(_integrate_segments(
+            lambda z, _: np.exp(_log_h1(im, z)), y0, y_plus))
 
     return CumulantSet(y0=y0, y_plus=y_plus, kappa_r=out,
                        time_scale=time_scale, mean_direct=mean_direct)

@@ -37,8 +37,7 @@ from .forcefield import ForceField, InvariantMeasure
 
 __all__ = ["DensityModel", "theta_fisher", "nu_coefficient", "build_model",
            "calibrate_rho", "eval_density", "log_density", "h_ansatz",
-           "solve_h_tilde", "HTildeSolution", "ou_short_time_remainder",
-           "levy_smirnov"]
+           "solve_h_tilde", "HTildeSolution", "ou_short_time_remainder"]
 
 SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 
@@ -111,9 +110,6 @@ class DensityModel:
     def b(self):
         return self.y_plus - self.y0
 
-    def q_of_tau(self, tau):
-        return np.exp(-2.0 * self.theta * np.asarray(tau, float))
-
 
 # ----------------------------------------------------------------------
 # evaluation
@@ -148,13 +144,6 @@ def log_density(model: DensityModel, tau):
 def eval_density(model: DensityModel, tau):
     with np.errstate(under="ignore"):
         return np.exp(log_density(model, tau))
-
-
-def levy_smirnov(b, tau):
-    """Short-time universal density (b/sqrt(4 pi tau^3)) e^{-b^2/4tau}."""
-    tau = np.asarray(tau, float)
-    with np.errstate(under="ignore"):
-        return b / np.sqrt(4.0 * np.pi * tau**3) * np.exp(-b * b / (4.0 * tau))
 
 
 # ----------------------------------------------------------------------

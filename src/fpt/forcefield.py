@@ -570,7 +570,9 @@ def load_field(source):
 
     Tabulated drifts use monotone-cubic interpolation in y, clamped to the
     end values outside the table.  Expression drifts are parsed with sympy
-    so the derivative is exact.
+    over a real y so the derivative is exact; the Dirac delta of a jump
+    counts as 0 in A', as for dry friction.  An expression whose A or A'
+    cannot be evaluated on the domain raises InputError.
     """
     if isinstance(source, dict):
         spec = source
@@ -615,12 +617,12 @@ def load_field(source):
     if kind == "expr":
         import sympy
 
-        yvar = sympy.symbols("y")
-        expr = sympy.sympify(spec["A"])
+        yvar = sympy.Symbol("y", real=True)
+        expr = sympy.sympify(spec["A"], locals={"y": yvar})
         if expr.free_symbols - {yvar}:
             raise InputError("expr field may only use the variable 'y'")
-        A_fn = sympy.lambdify(yvar, expr, "numpy")
-        Ap_fn = sympy.lambdify(yvar, sympy.diff(expr, yvar), "numpy")
+        dexpr = sympy.diff(expr, yvar).replace(sympy.DiracDelta,
+                                               lambda *_: sympy.S.Zero)
 
         def elementwise(fn):
             def f(t):
@@ -634,9 +636,18 @@ def load_field(source):
                 return out
             return f
 
-        A, A_prime = elementwise(A_fn), elementwise(Ap_fn)
-
         dom = tuple(spec.get("domain", (-40.0, 40.0)))
+        try:
+            A = elementwise(sympy.lambdify(yvar, expr, "numpy"))
+            A_prime = elementwise(sympy.lambdify(yvar, dexpr, "numpy"))
+            # lambdify accepts names that numpy lacks (gamma, erf, zeta);
+            # they fail only on the first call with an array
+            probe = np.linspace(*dom, 9)
+            with np.errstate(all="ignore"):
+                A(probe), A_prime(probe)
+        except (NotImplementedError, NameError, TypeError, ValueError) as exc:
+            raise InputError(f"cannot evaluate A = {expr} or A' = {dexpr} "
+                             f"with numpy: {exc}") from exc
         ff = ForceField(A, A_prime, kappa=spec.get("kappa", 1.0), label="expr")
         return ff, measure_from_drift(A, domain=dom)
 

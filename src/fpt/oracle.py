@@ -4,9 +4,11 @@ Three routes to the first-passage law, none of which share code with the
 analytic modules:
 
   solve_pde   Crank-Nicolson for dF/dtau = A F_y + F_yy on [y_min, y_plus]
-              with F(tau, y_plus) = 1, F(tau, y_min) = 0, F(0, .) = 0.
-              The density is read off the spatial operator f = A F_y + F_yy
-              (smooth; no O(dtau) differencing noise near tau = 0).
+              with F(tau, y_plus) = 1, F(tau, y_min) = 0, F(0, .) = 0,
+              recorded at every step at the requested starting points
+              only.  The density is read off the spatial operator
+              f = A F_y + F_yy (smooth; no O(dtau) differencing noise near
+              tau = 0).
   solve_tree  explicit trinomial lattice, forward induction with an
               absorbing top layer.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
@@ -31,21 +33,15 @@ __all__ = ["SolutionGrid", "TreeResult", "McResult",
 
 @dataclass(frozen=True)
 class SolutionGrid:
-    """PDE solver output.
-
-    F and f are stored on (possibly decimated) tau snapshots to bound
-    memory; `probe_tau`, `probe_F`, `probe_f` carry full-resolution time
-    series at the requested starting points.
-    """
+    """PDE solver output: the spatial grid, and the time series of F and
+    f at every step for each starting point in `probe_y` (snapped to its
+    grid node)."""
 
     y_nodes: np.ndarray
-    tau_nodes: np.ndarray
-    F: np.ndarray                     # shape (n_tau_stored, n_y)
-    f: np.ndarray
-    probe_y: tuple = ()
-    probe_tau: np.ndarray = None
-    probe_F: np.ndarray = None        # shape (n_probe, n_tau_full)
-    probe_f: np.ndarray = None
+    probe_y: tuple
+    probe_tau: np.ndarray             # shape (n_steps + 1,)
+    probe_F: np.ndarray               # shape (n_probe, n_steps + 1)
+    probe_f: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,12 @@ class McResult:
 # ----------------------------------------------------------------------
 
 def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
-              tau_max=20.0, probe_y=(), max_stored=2001) -> SolutionGrid:
-    """Crank-Nicolson with Rannacher start-up.
+              tau_max=20.0, probe_y=()) -> SolutionGrid:
+    """Crank-Nicolson with Rannacher start-up, read at the probes.
+
+    `probe_y` names the starting points whose F and f are recorded at
+    every step; at least one is required, each strictly inside
+    (y_min, y_plus), and the full field is never stored.
 
     The first two steps are replaced by four backward-Euler half steps to
     damp the ringing CN produces from the discontinuous initial data at
@@ -114,6 +114,8 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
         y_min = y_plus - 12.0
     if not (dy > 0 and dtau > 0 and tau_max > 0):
         raise InputError("dy, dtau, tau_max must be positive")
+    if len(probe_y) == 0:
+        raise InputError("solve_pde needs at least one probe_y")
     M = int(round((y_plus - y_min) / dy))
     if M < 8:
         raise InputError("grid too coarse")
@@ -153,14 +155,6 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
                        dtype=np.intp).reshape(-1)
 
     n_steps = int(round(tau_max / dtau))
-    stride = max(1, int(np.ceil((n_steps + 1) / max_stored)))
-    stored_steps = list(range(0, n_steps + 1, stride))
-    if stored_steps[-1] != n_steps:
-        stored_steps.append(n_steps)
-    store_at = {s: k for k, s in enumerate(stored_steps)}
-
-    Fs = np.zeros((len(stored_steps), M + 1))
-    fs = np.zeros((len(stored_steps), M + 1))
     reads = np.zeros((n_steps + 1, stencil.size))
 
     # two full profiles swap roles each solve: the right-hand side is
@@ -169,7 +163,6 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     cur[-1] = 1.0
     nxt = cur.copy()
     tmp = np.empty(M - 1)
-    Fs[0] = cur
     for step in range(1, n_steps + 1):
         startup = step <= 2           # two BE half steps per nominal step
         for _ in range(2 if startup else 1):
@@ -193,23 +186,13 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
                 f"(range [{lo:.3e}, {hi:.3e}]); refine dtau")
 
         np.take(cur, stencil, out=reads[step])
-        k = store_at.get(step)
-        if k is not None:
-            Fs[k] = cur
-            fs[k, 1:M] = (Ay[1:M] * (cur[2:] - cur[:-2]) / (2 * h)
-                          + (cur[2:] - 2 * cur[1:M] + cur[:-2]) / h**2)
 
-    ptau = pF = pf = None
-    if probe_idx:
-        Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
-        Ai = Ay[probe_idx][:, None]
-        ptau = dtau * np.arange(n_steps + 1)
-        pF = F0
-        pf = Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
+    Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
+    Ai = Ay[probe_idx][:, None]
     return SolutionGrid(
-        y_nodes=y, tau_nodes=dtau * np.asarray(stored_steps, float),
-        F=Fs, f=fs, probe_y=tuple(y[i] for i in probe_idx),
-        probe_tau=ptau, probe_F=pF, probe_f=pf)
+        y_nodes=y, probe_y=tuple(y[i] for i in probe_idx),
+        probe_tau=dtau * np.arange(n_steps + 1), probe_F=F0,
+        probe_f=Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2)
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,7 @@ from scipy.optimize import brentq
 
 from .errors import InputError, NumericsError
 
-__all__ = ["pcf", "reflection_product", "rightmost_zero",
-           "hermite_leftmost_zero"]
+__all__ = ["pcf", "rightmost_zero", "hermite_leftmost_zero"]
 
 Y_MAX = 40.0          # documented evaluation range; overflow is raised beyond
 M_MAX = 60            # deepest integer bracket rightmost_zero searches
@@ -85,31 +84,6 @@ def pcf(s, y):
     if not np.isfinite(value):
         raise NumericsError(f"pcf({s:g}, {y:g}) overflows double precision")
     return value
-
-
-def reflection_product(s, y, kmax=60, rtol=1e-12):
-    """Truncated reflection series for pcf(s,y)*pcf(1-s,y).
-
-    Sum_{k=0}^{kmax} [Gamma(k+s)Gamma(k+1-s) / (k! Gamma(s)Gamma(1-s))]
-    * pcf(2k+1, y).  Serves as an independent identity oracle for the
-    direct product; the coefficient is accumulated by its term ratio
-    (k+s)(k+1-s)/(k+1) so no large Gamma values appear.  Terminates early
-    once a term falls below `rtol` of the running sum.
-    """
-    s = float(s)
-    if s.is_integer():
-        raise InputError("reflection series requires non-integer s")
-    if kmax < 1:
-        raise InputError("kmax must be >= 1")
-    coef = 1.0
-    total = 0.0
-    for k in range(kmax + 1):
-        term = coef * pcf(2.0 * k + 1.0, y)
-        total += term
-        if k >= 2 and abs(term) < rtol * abs(total):
-            break
-        coef *= (k + s) * (k + 1.0 - s) / (k + 1.0)
-    return total
 
 
 def hermite_leftmost_zero(n):

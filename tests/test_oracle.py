@@ -41,11 +41,13 @@ def test_pde_ou_equilibrium_boundary(ou):
 
 def test_pde_bounds_and_monotonicity(ou):
     ff, _ = ou
-    g = fpt.solve_pde(ff, 1.0, dy=1 / 100, dtau=2e-3, tau_max=8.0)
-    assert np.min(g.F) >= -1e-6 and np.max(g.F) <= 1.0 + 1e-6
-    assert np.all(np.diff(g.F, axis=0) >= -1e-9)
-    assert np.all(g.F[:, -1] == 1.0) and np.all(g.F[:, 0] == 0.0)
-    assert np.all(g.F[0, :-1] == 0.0)
+    probes = -11.0 + 0.59 * np.arange(1, 21)    # grid nodes in (-11, 1)
+    g = fpt.solve_pde(ff, 1.0, dy=1 / 100, dtau=2e-3, tau_max=8.0,
+                      probe_y=tuple(probes))
+    assert g.probe_F.shape == (20, len(g.probe_tau))
+    assert np.min(g.probe_F) >= -1e-6 and np.max(g.probe_F) <= 1.0 + 1e-6
+    assert np.all(np.diff(g.probe_F, axis=1) >= -1e-9)
+    assert np.all(g.probe_F[:, 0] == 0.0)
 
 
 def test_pde_complete_absorption_long_run(ou):
@@ -81,9 +83,11 @@ def test_pde_domain_doubling_insensitive(ou):
 
 def test_pde_rejects_bad_grid(ou):
     with pytest.raises(InputError):
-        fpt.solve_pde(ou[0], 1.0, dy=5.0)
+        fpt.solve_pde(ou[0], 1.0, dy=5.0, probe_y=(0.0,))
     with pytest.raises(InputError):
         fpt.solve_pde(ou[0], 1.0, probe_y=(1.0,))   # boundary is not interior
+    with pytest.raises(InputError, match="probe_y"):
+        fpt.solve_pde(ou[0], 1.0)                  # probes are required
 
 
 # ----------------------------------------------------------------------
