@@ -22,7 +22,7 @@ from numpy.polynomial import legendre
 from scipy import integrate, special
 from scipy.interpolate import PchipInterpolator
 
-from .errors import InputError
+from .errors import InputError, NumericsError
 
 __all__ = [
     "ForceField",
@@ -258,6 +258,11 @@ def _rule_pair(orders):
 _RULE_NODES, _RULE_WEIGHTS = _rule_pair((9, 12))
 _SEG_RTOL = 1e-14
 _SEG_MAX_ROUNDS = 64
+# Cap on the open segments: this many times the initial count, and at
+# least _SEG_MIN_OPEN.  Kinked and jumping drifts keep them within 4x; an
+# integrand that is rounding noise would double them every round.
+_SEG_MAX_GROWTH = 64
+_SEG_MIN_OPEN = 1024
 
 
 def _integrate_segments(f, a, b):
@@ -272,6 +277,9 @@ def _integrate_segments(f, a, b):
     A smooth f takes one round however many segments there are; a kink
     takes about 20 rounds and a jump about 40, as the halves holding it
     shrink until its share of the error is below tolerance.
+    Raises NumericsError when segments are still open after 64 rounds, or
+    when the open segments would exceed 64 times the initial count (at
+    least 1024): f is then too rough, or too noisy, for the tolerance.
     """
     a, b = np.asarray(a, float), np.asarray(b, float)
     if a.shape != b.shape:
@@ -280,6 +288,7 @@ def _integrate_segments(f, a, b):
     lo, hi = a.ravel(), b.ravel()
     total = np.zeros(lo.size)
     owner = np.arange(lo.size)
+    max_open = max(_SEG_MAX_GROWTH * lo.size, _SEG_MIN_OPEN)
     scale = None
     for rnd in range(_SEG_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
@@ -295,14 +304,20 @@ def _integrate_segments(f, a, b):
         if scale is None:
             scale = np.abs(half) * (np.abs(fx) @ _RULE_WEIGHTS[:, 1])
         done = np.abs(est - est_lo) <= _SEG_RTOL * scale
-        if rnd == _SEG_MAX_ROUNDS - 1:
-            done[:] = True
         if rnd == 0 and done.all():
             return est.reshape(shape)
         total += np.bincount(owner[done], weights=est[done], minlength=total.size)
         if done.all():
             break
         open_ = ~done
+        n_open = int(np.count_nonzero(open_))
+        if rnd == _SEG_MAX_ROUNDS - 1 or 2 * n_open > max_open:
+            worst = int(np.argmax(np.abs(est - est_lo) - _SEG_RTOL * scale))
+            raise NumericsError(
+                f"adaptive quadrature did not converge: {n_open} segments "
+                f"still open after round {rnd + 1}, the worst on "
+                f"[{lo[worst]:g}, {hi[worst]:g}]; the integrand is too "
+                "rough or too noisy for a relative tolerance of 1e-14")
         owner, scale = np.repeat(owner[open_], 2), np.repeat(scale[open_], 2)
         lo, hi, mid = np.repeat(lo[open_], 2), np.repeat(hi[open_], 2), mid[open_]
         lo[1::2] = hi[::2] = mid

@@ -13,6 +13,12 @@ Construction (per column r >= 2):
          accumulated rightward with the logarithmic trapezium rule
          (exact on piecewise exponentials), then h_r = I_r / psi.
 
+The integrand of row r depends only on the rows below it, so each row is
+one array pass: all cell increments at once, then one
+np.logaddexp.accumulate from the seed term.  That applies the same
+left-to-right chain of logaddexp calls as a node-by-node loop, and gives
+the same values bit for bit.
+
 Everything is carried in log space: psi underflows long before the left
 cutoff matters, and the seeds involve high powers of small h_1 values.
 """
@@ -114,14 +120,18 @@ def _log_h1(im, y):
 
 
 def _log_trapezium_increment(logS0, logS1, step):
-    """log of step*(S1-S0)/(log S1 - log S0), the trapezium rule for
-    piecewise-exponential integrands; falls back to the arithmetic rule
-    when the two ordinates are nearly equal."""
-    d = logS1 - logS0
-    if abs(d) < 1e-12:
-        return np.log(step / 2.0) + np.logaddexp(logS0, logS1)
-    return (np.log(step) + max(logS0, logS1)
-            + np.log1p(-np.exp(-abs(d))) - np.log(abs(d)))
+    """log of step*(S1-S0)/(log S1 - log S0), elementwise: the trapezium
+    rule for piecewise-exponential integrands, falling back to the
+    arithmetic rule where the two ordinates are nearly equal."""
+    d = np.abs(logS1 - logS0)
+    near = d < 1e-12
+    # the exponential branch is evaluated on d = 1 where it is not used,
+    # so it never divides by zero
+    de = np.where(near, 1.0, d)
+    exp_rule = (np.log(step) + np.maximum(logS0, logS1)
+                + np.log1p(-np.exp(-de)) - np.log(de))
+    return np.where(near, np.log(step / 2.0) + np.logaddexp(logS0, logS1),
+                    exp_rule)
 
 
 def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
@@ -146,7 +156,6 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
         raise NumericsError("h_1 not finite on the grid; psi may underflow "
                             f"near Z = {grid.Z:g}")
 
-    step = grid.step
     for r in range(2, r_max + 1):
         # log of the convolution sum_{k=1}^{r-1} h_k h_{r-k} at every node
         terms = np.array([logh[k - 1] + logh[r - k - 1] for k in range(1, r)])
@@ -159,13 +168,14 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
                 f"non-finite integrand S_{r} at z = {z[j]:g} "
                 f"(log psi = {log_psi[j]:g}, log conv = {logconv[j]:g})")
 
-        row = np.empty(n)
-        row[0] = np.log(cat[r - 1]) + (2 * r - 1) * logh[0, 0]
-        logI = row[0] + log_psi[0]
-        for j in range(n - 1):
-            logI = np.logaddexp(logI, _log_trapezium_increment(logS[j], logS[j + 1], step))
-            row[j + 1] = logI - log_psi[j + 1]
-        logh[r - 1] = row
+        # log I_r: the seed term at Z, then one increment per cell
+        seed = np.log(cat[r - 1]) + (2 * r - 1) * logh[0, 0]
+        logI = np.empty(n)
+        logI[0] = seed + log_psi[0]
+        logI[1:] = _log_trapezium_increment(logS[:-1], logS[1:], grid.step)
+        logh[r - 1] = np.logaddexp.accumulate(logI) - log_psi
+        # adding and removing log_psi[0] can round; the seed is exact
+        logh[r - 1, 0] = seed
 
     return HTable(grid=grid, r_max=r_max, log_values=logh)
 

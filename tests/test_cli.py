@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpt.cli import RunConfig, main
+
+
+OUT_DIR = Path(__file__).resolve().parents[1] / "out"
 
 
 def run(capsys, *argv):
@@ -118,6 +122,37 @@ def test_table1_command(capsys):
     assert data[-0.5] == pytest.approx(1.449, abs=5e-4)
     assert data[0.5] == pytest.approx(0.649, abs=5e-4)
     assert data[2.0] == pytest.approx(0.0973, abs=5e-4)
+
+
+def _csv_rows(text):
+    return [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("ref", ["table1.csv", "fig1_ou.csv", "fig1_tanh.csv",
+                                 "fig1_dry_friction.csv"])
+def test_rate_tables_reproduce_out_references(capsys, ref):
+    """Rerun the command recorded in the header of a stored rate table and
+    compare every cell to 1e-9 relative: the exact and estimated rates of
+    table1, and the estimates, exact rates, asymptotes and markers of fig1."""
+    text = (OUT_DIR / ref).read_text()
+    cfg = json.loads(text.splitlines()[2].removeprefix("# config: "))
+    argv = [cfg["command"]]
+    if cfg["command"] == "fig1":
+        argv += ["--model", cfg["model"], "--sweep=" + cfg["options"]["sweep"],
+                 "--rmax", str(cfg["options"]["rmax"])]
+        argv += [f"--{k}={v}" for k, v in cfg["params"].items()]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    stored, fresh = _csv_rows(text), _csv_rows(out)
+    assert fresh[0] == stored[0] and len(fresh) == len(stored)
+    for new, old in zip(fresh[1:], stored[1:]):
+        for a, b in zip(new, old):
+            try:
+                b = float(b)
+            except ValueError:
+                assert a == b
+            else:
+                assert float(a) == pytest.approx(b, rel=1e-9, abs=0.0)
 
 
 def test_fig1_markers(capsys):

@@ -274,6 +274,25 @@ def test_load_expr_field_with_kinks():
     assert np.all(np.isfinite(im.log_Psi(q)))
 
 
+def test_load_expr_rejects_drift_that_is_rounding_noise():
+    # cos^2 + sin^2 - 1 is 0 up to rounding, and 1e6 times that rounding
+    # noise cannot be integrated to 1e-14: the open segments must be
+    # capped, not doubled until memory runs out
+    with pytest.raises(fpt.NumericsError, match="did not converge"):
+        fpt.load_field({"type": "expr",
+                        "A": "-y + 1e6*(cos(y)**2 + sin(y)**2 - 1)"})
+
+
+def test_segment_quadrature_raises_when_rounds_run_out(monkeypatch):
+    from fpt import forcefield
+    jump = lambda x, _: np.sign(x - 1 / 3)
+    assert forcefield._integrate_segments(jump, 0.0, 1.0) == pytest.approx(1 / 3, rel=1e-13)
+    # a jump takes about 40 rounds
+    monkeypatch.setattr(forcefield, "_SEG_MAX_ROUNDS", 8)
+    with pytest.raises(fpt.NumericsError, match="after round 8"):
+        forcefield._integrate_segments(jump, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("expr", ["-y - floor(y)", "-y - gamma(y)"])
 def test_load_expr_rejects_unevaluable_field(expr):
     with pytest.raises(InputError, match="cannot evaluate"):

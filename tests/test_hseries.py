@@ -4,7 +4,7 @@ from scipy import integrate
 
 import fpt
 from fpt.errors import InputError
-from fpt.hseries import catalan_numbers
+from fpt.hseries import _log_h1, _log_trapezium_increment, catalan_numbers
 
 
 def test_catalan_numbers():
@@ -133,6 +133,90 @@ def test_march_warns_outside_class(abm):
     im = fpt.builtin("abm", mu=1.0)[1]
     with pytest.warns(UserWarning):
         fpt.build_table(ff, im, fpt.HGrid(z_max=0.0), r_max=2)
+
+
+# ----------------------------------------------------------------------
+# the one-pass march against the node-by-node loop it replaced
+# ----------------------------------------------------------------------
+
+def _scalar_increment(logS0, logS1, step):
+    d = logS1 - logS0
+    if abs(d) < 1e-12:
+        return np.log(step / 2.0) + np.logaddexp(logS0, logS1)
+    return (np.log(step) + max(logS0, logS1)
+            + np.log1p(-np.exp(-abs(d))) - np.log(abs(d)))
+
+
+def _march_by_loop(im, grid, r_max):
+    """Reference march: one scalar logaddexp per grid cell."""
+    z = grid.nodes
+    cat = catalan_numbers(r_max)
+    log_psi = np.asarray(im.log_psi(z), float)
+    logh = np.empty((r_max, z.size))
+    logh[0] = _log_h1(im, z)
+    for r in range(2, r_max + 1):
+        terms = np.array([logh[k - 1] + logh[r - k - 1] for k in range(1, r)])
+        m = terms.max(axis=0)
+        logconv = m + np.log(np.exp(terms - m).sum(axis=0))
+        logS = log_psi + logconv
+        row = np.empty(z.size)
+        row[0] = np.log(cat[r - 1]) + (2 * r - 1) * logh[0, 0]
+        logI = row[0] + log_psi[0]
+        for j in range(z.size - 1):
+            logI = np.logaddexp(logI, _scalar_increment(logS[j], logS[j + 1], grid.step))
+            row[j + 1] = logI - log_psi[j + 1]
+        logh[r - 1] = row
+    return logh
+
+
+@pytest.fixture(scope="module")
+def sine_expr():
+    return fpt.load_field({"type": "expr", "A": "-y - 0.1*sin(y)"})
+
+
+@pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction", "abm", "sine_expr"])
+@pytest.mark.parametrize("r_max", [4, 8])
+@pytest.mark.parametrize("step", [1 / 32, 1 / 128])
+def test_march_matches_node_by_node_loop(request, field, r_max, step):
+    """The accumulate applies the loop's logaddexp calls in the loop's
+    order, so the tables, and the ratios read from them, agree bit for
+    bit."""
+    ff, im = request.getfixturevalue(field)
+    grid = fpt.HGrid(step=step, z_max=2.5)
+    table = fpt.build_table(ff, im, grid, r_max)
+    assert np.array_equal(table.log_values, _march_by_loop(im, grid, r_max))
+    for y in (-1.0, 0.37, 2.5):
+        logs = np.array([table.log_interpolator(r)(y) for r in range(1, r_max + 1)])
+        assert np.array_equal(fpt.ratio_sequence(table, y),
+                              np.exp(logs[:-1] - logs[1:]))
+
+
+def test_trapezium_increment_at_equal_ordinates():
+    # the arithmetic branch: step * S exactly, up to rounding of the sum
+    logS = np.array([-700.0, -3.0, 0.0, 0.7, 12.5])
+    for step in (1 / 32, 1 / 128, 0.3):
+        assert _log_trapezium_increment(logS, logS, step) == pytest.approx(
+            np.log(step) + logS, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_trapezium_increment_continuous_at_branch_switch():
+    """Either side of |d| = 1e-12 the two branches agree.  The exponential
+    branch forms 1 - e^-d by subtraction, which carries a relative error
+    of up to eps/d, so that is the tolerance right of the switch; left of
+    it the arithmetic rule is within rounding of the exact value."""
+    step, d0 = 1 / 32, 1e-12
+    d = np.array([d0 * (1 - 1e-9), d0, d0 * (1 + 1e-9)])
+    left, at, right = _log_trapezium_increment(np.zeros(3), d, step)
+    exact = np.log(step) + np.log(np.expm1(d) / d)
+    assert left == pytest.approx(exact[0], abs=4 * np.finfo(float).eps)
+    assert at == pytest.approx(left, abs=np.finfo(float).eps / d0)
+    assert right == pytest.approx(left, abs=np.finfo(float).eps / d0)
+    # and the two branches are the same rule away from the switch
+    wide = np.array([1e-3, 0.5, 3.0])
+    assert _log_trapezium_increment(np.zeros(3), wide, step) == pytest.approx(
+        np.log(step) + np.log(np.expm1(wide) / wide), rel=1e-14)
+    assert np.array_equal(_log_trapezium_increment(np.zeros(3), wide, step),
+                          _log_trapezium_increment(wide, np.zeros(3), step))
 
 
 # ----------------------------------------------------------------------
