@@ -8,9 +8,13 @@ Writes out/fig1_{ou,dry_friction,tanh}.csv.
 import pathlib
 import sys
 
-from fpt.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# runs from a plain checkout: fpt is imported from its src/
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+from fpt.cli import main  # noqa: E402
+
+OUT = ROOT / "out"
 
 SWEEPS = [
     (["--model", "ou", "--sweep=-3:3:25"], "fig1_ou.csv"),

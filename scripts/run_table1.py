@@ -8,9 +8,13 @@ the accelerated ratio-sequence estimates) and prints it.
 import pathlib
 import sys
 
-from fpt.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# runs from a plain checkout: fpt is imported from its src/
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+from fpt.cli import main  # noqa: E402
+
+OUT = ROOT / "out"
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)

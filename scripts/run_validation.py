@@ -9,9 +9,13 @@ import json
 import pathlib
 import sys
 
-from fpt.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# runs from a plain checkout: fpt is imported from its src/
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+from fpt.cli import main  # noqa: E402
+
+OUT = ROOT / "out"
 
 MODELS = [
     (["--model", "ou"], "validate_ou.json"),

@@ -265,7 +265,7 @@ _SEG_MAX_GROWTH = 64
 _SEG_MIN_OPEN = 1024
 
 
-def _integrate_segments(f, a, b):
+def _integrate_segments(f, a, b, whole=False):
     """int_a^b f for every segment of the broadcast arrays a, b.
 
     Each round calls f(x, k) once, on the 19 nodes x of the 9- and
@@ -277,6 +277,15 @@ def _integrate_segments(f, a, b):
     A smooth f takes one round however many segments there are; a kink
     takes about 20 rounds and a jump about 40, as the halves holding it
     shrink until its share of the error is below tolerance.
+
+    With `whole`, the segments are panels of one integral, and a segment
+    is also done when the rules agree to its share, by width, of 1e-14 of
+    the summed first-round L1 mass of all segments.  That absolute floor
+    keeps the error of the sum below about 1e-14 of its mass, and ends
+    the refinement of panels where f is rounding noise on a negligible
+    mass (the tails of A' = 2 tanh(y)^2 - 2 times psi), which a relative
+    tolerance alone would halve without end.
+
     Raises NumericsError when segments are still open after 64 rounds, or
     when the open segments would exceed 64 times the initial count (at
     least 1024): f is then too rough, or too noisy, for the tolerance.
@@ -303,7 +312,12 @@ def _integrate_segments(f, a, b):
         est_lo, est = (fx @ _RULE_WEIGHTS).T * half
         if scale is None:
             scale = np.abs(half) * (np.abs(fx) @ _RULE_WEIGHTS[:, 1])
-        done = np.abs(est - est_lo) <= _SEG_RTOL * scale
+            if whole:
+                floor = _SEG_RTOL * scale.sum() / np.abs(half).sum()
+        err = np.abs(est - est_lo)
+        done = err <= _SEG_RTOL * scale
+        if whole:
+            done |= err <= floor * np.abs(half)
         if rnd == 0 and done.all():
             return est.reshape(shape)
         total += np.bincount(owner[done], weights=est[done], minlength=total.size)
@@ -312,7 +326,7 @@ def _integrate_segments(f, a, b):
         open_ = ~done
         n_open = int(np.count_nonzero(open_))
         if rnd == _SEG_MAX_ROUNDS - 1 or 2 * n_open > max_open:
-            worst = int(np.argmax(np.abs(est - est_lo) - _SEG_RTOL * scale))
+            worst = int(np.argmax(err - _SEG_RTOL * scale))
             raise NumericsError(
                 f"adaptive quadrature did not converge: {n_open} segments "
                 f"still open after round {rnd + 1}, the worst on "

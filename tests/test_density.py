@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import fpt
-from fpt.density import _normalization
+import fpt.density as density
+from fpt.density import _gauss_legendre, _normalizer
 from fpt.errors import InputError
 
 
@@ -61,6 +64,51 @@ def test_theta_quadrature_route_matches_closed_form(ou):
     assert fpt.theta_fisher(ff, im_q) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("expr, exact", [("-y", 1.0), ("-2*tanh(y)", 4.0 / 3.0)])
+def test_theta_of_expression_fields_matches_closed_form(expr, exact):
+    for domain in ([-30, 30], [-40, 40]):
+        ff, im = fpt.load_field({"type": "expr", "A": expr, "domain": domain})
+        assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_theta_of_expression_field_matches_mpmath():
+    """<A^2> for A = -y - 0.1 sin y, psi ~ exp(-y^2/2 + 0.1 cos y), from a
+    30-digit mpmath quadrature over the whole line."""
+    import mpmath as mp
+    ff, im = fpt.load_field({"type": "expr", "A": "-y - 0.1*sin(y)",
+                             "domain": [-30, 30]})
+    with mp.workdps(30):
+        psi = lambda y: mp.exp(-y * y / 2 + mp.cos(y) / 10)
+        a2 = mp.quad(lambda y: (y + mp.sin(y) / 10) ** 2 * psi(y), [-mp.inf, 0, mp.inf])
+        exact = float(a2 / mp.quad(psi, [-mp.inf, 0, mp.inf]))
+    assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_theta_of_kinked_expression_field_warns():
+    # A' of -sign(y) is 0 under the jump convention, so <-A'> = 0 != <A^2>
+    ff, im = fpt.load_field({"type": "expr", "A": "-sign(y)", "domain": [-40, 40]})
+    with pytest.warns(UserWarning, match="disagree"):
+        val = fpt.theta_fisher(ff, im)
+    assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def test_theta_calls_a_smooth_drift_a_fixed_number_of_times():
+    """theta evaluates A, A' and psi once per round on all nodes; a smooth
+    field takes a few rounds, where scalar adaptive quadrature called the
+    quadrature-backed psi hundreds of times."""
+    calls = []
+
+    def A(y):
+        calls.append(np.size(y))
+        return -np.asarray(y, float) - 0.1 * np.sin(y)
+
+    ff = fpt.ForceField(A, lambda y: -1.0 - 0.1 * np.cos(np.asarray(y, float)))
+    im = fpt.measure_from_drift(A, domain=(-30.0, 30.0))
+    calls.clear()
+    fpt.theta_fisher(ff, im)
+    assert len(calls) <= 8
+
+
 def test_nu_zero_at_equilibrium_boundary(ou):
     ff, _ = ou
     lam = fpt.lambda_exact("ou", 0.0)
@@ -106,7 +154,7 @@ def test_calibrated_density_integrates_to_one(ou, tanh2, dry_friction):
 def test_internal_normalization_matches_adaptive_quad(ou):
     ff, im = ou
     m = fpt.build_model(ff, im, -2.0, 1.0, model_name="ou")
-    mine = _normalization(m)
+    mine = _normalizer(m)(m.rho)
     ref, _ = integrate.quad(lambda t: fpt.eval_density(m, t), 0.0, np.inf,
                             limit=500, epsabs=1e-12, epsrel=1e-12)
     assert mine == pytest.approx(ref, abs=5e-10)
@@ -121,7 +169,82 @@ def test_rho_sensitivity_flagged_near_boundary(ou):
         rho, sens, resid = fpt.calibrate_rho(raw)
     assert abs(sens) < 1e-4
     # rho-bearing factors are inert here: normalization barely moves with rho
-    assert abs(_normalization(raw, rho=5.0) - _normalization(raw, rho=0.0)) < 5e-3
+    norm = _normalizer(raw)
+    assert abs(norm(5.0) - norm(0.0)) < 5e-3
+
+
+def _normalization_per_call(model, rho, n_mid=400, n_tail=48, w_split=0.05):
+    """Reference: the normalization built afresh for every rho, through
+    the public log_density.  `_normalizer` must match it bit for bit."""
+    m = replace(model, rho=float(rho))
+    th, lam, b = m.theta, m.lam, m.b
+    tau_c = -np.log1p(-1e-8) / (2.0 * th)
+    head = special.erfc(b / (2.0 * np.sqrt(tau_c)))
+
+    T = -np.log(w_split) / th
+    a = lam / th
+    xj, wj = special.roots_jacobi(n_tail, 0.0, a - 1.0)
+    w_nodes = (xj + 1.0) * (w_split / 2.0)
+    taus = -np.log(w_nodes) / th
+    with np.errstate(under="ignore"):
+        G = np.exp(fpt.log_density(m, taus) + lam * taus)
+    tail = (w_split / 2.0) ** a * float(wj @ G) / th
+
+    x_lo = b / (2.0 * np.sqrt(T))
+    x_hi = min(b / (2.0 * np.sqrt(tau_c)), x_lo + 9.0)
+    xg, wg = _gauss_legendre(n_mid)
+    x = 0.5 * (xg + 1.0) * (x_hi - x_lo) + x_lo
+    tau = b * b / (4.0 * x * x)
+    log_ls = (np.log(b) - 0.5 * np.log(4.0 * np.pi * tau**3)
+              - b * b / (4.0 * tau))
+    with np.errstate(under="ignore"):
+        ratio = np.exp(fpt.log_density(m, tau) - log_ls)
+        mid = 0.5 * (x_hi - x_lo) * float(
+            wg @ (ratio * (2.0 / np.sqrt(np.pi)) * np.exp(-x * x)))
+    return head + mid + tail
+
+
+@pytest.fixture(scope="module")
+def sine_expr():
+    return fpt.load_field({"type": "expr", "A": "-y - 0.1*sin(y)",
+                           "domain": [-30, 30]})
+
+
+def test_calibration_matches_per_call_normalization(ou, tanh2, dry_friction,
+                                                    sine_expr, monkeypatch):
+    cases = [(ou, "ou", -1.0, 3.0), (ou, "ou", -4.0, -2.5),
+             (ou, "ou", -1.0, 1.0), (ou, "ou", -0.5, 0.0),
+             (tanh2, None, -1.5, 0.5), (tanh2, None, -3.0, 2.0),
+             (dry_friction, "dry_friction", -2.0, -1.0),
+             (dry_friction, "dry_friction", -1.0, 2.0),
+             (sine_expr, None, -2.0, 1.0), (sine_expr, None, -1.0, -0.5)]
+    models = [fpt.build_model(*field, y0, yp, model_name=name)
+              for field, name, y0, yp in cases]
+    built = [fpt.calibrate_rho(m) for m in models]
+    for m in models:
+        norm = _normalizer(m)
+        for r in (-40.0, -3.7, 0.0, 0.25, 11.0, m.rho):
+            assert norm(r) == _normalization_per_call(m, r)
+    monkeypatch.setattr(density, "_normalizer",
+                        lambda m: lambda r: _normalization_per_call(m, r))
+    reference = [fpt.calibrate_rho(m) for m in models]
+    assert built == reference
+    for m, (rho, sens, resid) in zip(models, built):
+        assert (m.rho, m.rho_sensitivity, m.calibration_residual) == (rho, sens, resid)
+
+
+def test_build_model_reads_log_psi_twice(sine_expr):
+    ff, im = sine_expr
+    calls = []
+
+    def log_psi(y):
+        calls.append(y)
+        return im.log_psi(y)
+
+    m = fpt.build_model(ff, replace(im, log_psi=log_psi), -2.0, 1.0,
+                        theta=1.0625874635355, lam=0.3)
+    assert m.calibration_residual is not None
+    assert len(calls) <= 2
 
 
 def test_lambda_source_selection(ou, tanh2):

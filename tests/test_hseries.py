@@ -144,7 +144,7 @@ def _scalar_increment(logS0, logS1, step):
     if abs(d) < 1e-12:
         return np.log(step / 2.0) + np.logaddexp(logS0, logS1)
     return (np.log(step) + max(logS0, logS1)
-            + np.log1p(-np.exp(-abs(d))) - np.log(abs(d)))
+            + np.log(-np.expm1(-abs(d)) / abs(d)))
 
 
 def _march_by_loop(im, grid, r_max):
@@ -200,23 +200,44 @@ def test_trapezium_increment_at_equal_ordinates():
 
 
 def test_trapezium_increment_continuous_at_branch_switch():
-    """Either side of |d| = 1e-12 the two branches agree.  The exponential
-    branch forms 1 - e^-d by subtraction, which carries a relative error
-    of up to eps/d, so that is the tolerance right of the switch; left of
-    it the arithmetic rule is within rounding of the exact value."""
+    """Either side of |d| = 1e-12 the two branches agree to rounding: the
+    exponential branch takes 1 - e^-d from expm1, and the arithmetic rule
+    left of the switch is within rounding of the exact value."""
     step, d0 = 1 / 32, 1e-12
     d = np.array([d0 * (1 - 1e-9), d0, d0 * (1 + 1e-9)])
     left, at, right = _log_trapezium_increment(np.zeros(3), d, step)
     exact = np.log(step) + np.log(np.expm1(d) / d)
     assert left == pytest.approx(exact[0], abs=4 * np.finfo(float).eps)
-    assert at == pytest.approx(left, abs=np.finfo(float).eps / d0)
-    assert right == pytest.approx(left, abs=np.finfo(float).eps / d0)
+    assert at == pytest.approx(left, abs=4 * np.finfo(float).eps)
+    assert right == pytest.approx(left, abs=4 * np.finfo(float).eps)
     # and the two branches are the same rule away from the switch
     wide = np.array([1e-3, 0.5, 3.0])
     assert _log_trapezium_increment(np.zeros(3), wide, step) == pytest.approx(
         np.log(step) + np.log(np.expm1(wide) / wide), rel=1e-14)
     assert np.array_equal(_log_trapezium_increment(np.zeros(3), wide, step),
                           _log_trapezium_increment(wide, np.zeros(3), step))
+
+
+def test_trapezium_increment_matches_mpmath_at_small_log_steps():
+    """The increment against 40-digit mpmath where the exponential rule
+    takes over, d = |log S1 - log S0| in [1e-13, 1e-3].  Forming 1 - e^-d
+    as 1 - exp(-d) loses about eps/d of it: 1.5e-5 relative at d near
+    1e-13 on the arithmetic side, about 1e-5 at 1e-12 and 1e-9 at 1e-7."""
+    import mpmath as mp
+    d = np.geomspace(1e-13, 1e-3, 121)
+    worst = 0.0
+    for step in (1 / 32, 1 / 128):
+        for base in (-3.0, 0.0, 1.0):
+            lo = np.full(d.size, base)
+            hi = lo + d
+            for s0, s1 in ((lo, hi), (hi, lo)):
+                got = _log_trapezium_increment(s0, s1, step)
+                with mp.workdps(40):
+                    for g, a, b in zip(got, s0, s1):
+                        a, b = mp.mpf(float(a)), mp.mpf(float(b))
+                        exact = mp.log(step * (mp.exp(b) - mp.exp(a)) / (b - a))
+                        worst = max(worst, float(abs(g - exact) / abs(exact)))
+    assert worst <= 1e-15
 
 
 # ----------------------------------------------------------------------
