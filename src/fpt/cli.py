@@ -26,7 +26,7 @@ from . import hseries as _hseries
 from . import oracle as _oracle
 from . import oupcf as _oupcf
 from .errors import InputError, NumericsError
-from .forcefield import builtin, load_field
+from .forcefield import _tanh_amplitude, builtin, load_field
 
 TABLE1_ROWS = [-2.86, -2.33, -np.sqrt(3.0), -1.0, -0.5, 0.0,
                0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -170,9 +170,9 @@ def cmd_cumulants(args, cfg):
     (ff, im), _ = _field_from_args(args)
     grid = _hseries.HGrid(z_max=max(args.barrier, _hseries.HGrid.Z + 1.0) + 1e-9)
     table = _hseries.build_table(ff, im, grid, args.rmax)
-    cs = _compute_cumulants(table, args.start, args.barrier, im=im)
-    rows = [(r + 1, cs.kappa_r[r], cs.kappa_r[r] / ff.kappa ** (r + 1))
-            for r in range(len(cs.kappa_r))]
+    cs = _compute_cumulants(table, args.start, args.barrier, im=im,
+                            time_scale=ff.kappa)
+    rows = list(zip(range(1, len(cs.kappa_r) + 1), cs.kappa_r, cs.dimensional()))
     rows.append(("mean_direct", cs.mean_direct, None))
     _write_csv(args.out, cfg, ["r", "kappa_r_dimensionless", "kappa_r_dimensional"], rows)
 
@@ -258,8 +258,7 @@ def cmd_fig1(args, cfg):
             if a <= z <= b:
                 rows.append(("marker", z, None, float(order), None, None))
     elif name == "tanh":
-        amp = args.alpha if args.parameterization == "amplitude" \
-            else args.alpha / args.gamma
+        amp = _tanh_amplitude(args.alpha, args.gamma, args.parameterization)
         if amp / args.gamma > 1.0 and a <= 0.0 <= b:
             rows.append(("marker", 0.0, None,
                          args.gamma * (amp - args.gamma), None, None))

@@ -43,7 +43,7 @@ class CumulantSet:
 def cumulants(table: HTable, y0, y_plus, r_max=None, im=None,
               time_scale=1.0) -> CumulantSet:
     """k_r = r! * int_{y0}^{y_plus} h_r over the interpolated table
-    (cell-wise Gauss-Legendre; see `integrate_h`).
+    (see `integrate_h`).
 
     When the invariant measure is supplied the mean is additionally
     cross-computed from Psi/psi directly (no table interpolation) and

@@ -24,15 +24,14 @@ live in `lambda_exact`, and the two boundary asymptotes in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from . import oupcf
 from .errors import InputError, NumericsError
-from .forcefield import ForceField, InvariantMeasure
+from .forcefield import ForceField, InvariantMeasure, _tanh_amplitude
 from .hseries import HGrid, HTable, build_table
 
 __all__ = ["DecayEstimate", "ratio_sequence", "aitken_A0", "aitken_A1",
@@ -40,7 +39,7 @@ __all__ = ["DecayEstimate", "ratio_sequence", "aitken_A0", "aitken_A1",
            "tanh_eigenvalues"]
 
 # entries where |d_{r-1} - d_r| falls below this multiple of eps*|x_r|
-# are numerically meaningless and get flagged instead of returned
+# are numerically meaningless and are left nan
 STABILITY_FACTOR = 1e3 * np.finfo(float).eps
 
 
@@ -49,17 +48,13 @@ class DecayEstimate:
     """Ratio sequence, accelerated sequence, and the chosen rate."""
 
     x: np.ndarray                     # x_r = h_r/h_{r+1}, r = 1..
-    delta: np.ndarray                 # x_r - x_{r-1}
     accel: np.ndarray                 # A1 values (nan where unstable)
-    stable: np.ndarray                # stability mask for accel
     lam: float
-    table: HTable = field(repr=False, default=None)
 
 
 def ratio_sequence(table: HTable, y_plus):
     """x_r = h_r(y_plus)/h_{r+1}(y_plus) for r = 1..r_max-1."""
-    logs = PchipInterpolator(table.grid.nodes, table.log_values, axis=1,
-                             extrapolate=False)(float(y_plus))
+    logs = table.interpolant(float(y_plus))
     if np.any(np.isnan(logs)):
         raise InputError(f"y_plus = {y_plus:g} outside the table grid")
     return np.exp(logs[:-1] - logs[1:])
@@ -132,8 +127,7 @@ def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus,
         raise NumericsError(
             f"accelerated estimate went negative ({lam:g}); ratios "
             + np.array2string(x, precision=6))
-    return DecayEstimate(x=x, delta=np.diff(x), accel=accel, stable=ok,
-                         lam=lam, table=table)
+    return DecayEstimate(x=x, accel=accel, lam=lam)
 
 
 def lambda_asymptotic(im: InvariantMeasure, y_plus, side):
@@ -203,6 +197,8 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
     tanh         only the boundary at the n=1 polynomial zero (y_plus = 0)
                  is covered: min of gamma*(alpha-gamma) and the
                  branch-point value alpha^2/4; NumericsError elsewhere.
+                 alpha, gamma and parameterization are those of
+                 `builtin('tanh', ...)`, and rejected as there.
     """
     y_plus = float(y_plus)
     if model == "ou":
@@ -216,7 +212,7 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
             raise InputError("dry_friction needs mu > 0")
         return _dry_friction_lambda(mu, y_plus)
     if model == "tanh":
-        amp = alpha if parameterization == "amplitude" else alpha / gamma
+        amp = _tanh_amplitude(alpha, gamma, parameterization)
         if abs(y_plus) > 1e-12:
             raise NumericsError(
                 "no polynomial eigenvalue available: the n=1 Romanovski zero "

@@ -194,7 +194,8 @@ def _gauss_legendre(n):
 
 
 def _normalizer(model: DensityModel, n_mid=400, n_tail=48, w_split=0.05):
-    """rho -> int_0^inf f dtau for `model` with that rho, from three pieces.
+    """rho -> int_0^inf f dtau for `model` (theta > 0) with that rho, from
+    three pieces.
 
     head   tau < tau_c where q > 1 - 1e-8: exact integral of the short-time
            form, erfc(b / (2 sqrt(tau_c)));
@@ -209,12 +210,6 @@ def _normalizer(model: DensityModel, n_mid=400, n_tail=48, w_split=0.05):
     log psi(y0) and log f but for its rho term) is built here, once; each
     call of the returned function adds the rho term at the nodes.
     """
-    if model.theta == 0.0:
-        # inverse Gaussian with drift mu = A: integrates to exp(mu*b/2 - |mu|b/2)
-        mu = float(model.ff.A(0.5 * (model.y0 + model.y_plus)))
-        value = float(np.exp(0.5 * model.b * (mu - abs(mu))))
-        return lambda rho: value
-
     th, lam, b = model.theta, model.lam, model.b
     dlpsi = _log_psi_ratio(model)
     tau_c = -np.log1p(-1e-8) / (2.0 * th)

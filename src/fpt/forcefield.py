@@ -148,20 +148,22 @@ def _dry_friction(mu):
     return ForceField(A, A_prime, label=f"dry_friction(mu={mu:g})"), im
 
 
-def _tanh_field(alpha, gamma, parameterization):
-    """A = -alpha*tanh(gamma*y) ('amplitude') or -(alpha/gamma)*tanh(gamma*y)
-    ('ratio').  The two conventions appear in different places in the
-    literature; `ratio(alpha, gamma)` is the same field as
+def _tanh_amplitude(alpha, gamma, parameterization):
+    """amp of the tanh drift A = -amp*tanh(gamma*y): alpha ('amplitude') or
+    alpha/gamma ('ratio').  The two conventions appear in different places
+    in the literature; `ratio(alpha, gamma)` is the same field as
     `amplitude(alpha/gamma, gamma)`."""
-    if parameterization == "amplitude":
-        amp = alpha
-    elif parameterization == "ratio":
-        amp = alpha / gamma
-    else:
+    if parameterization not in ("amplitude", "ratio"):
         raise InputError(f"unknown tanh parameterization {parameterization!r}")
-    p = amp / gamma                     # psi ~ sech(gamma*y)^p
-    if p <= 0:
+    if not (alpha > 0 and gamma > 0):
         raise InputError("tanh field needs alpha, gamma > 0")
+    return alpha if parameterization == "amplitude" else alpha / gamma
+
+
+def _tanh_field(alpha, gamma, parameterization):
+    """A = -amp*tanh(gamma*y), amp from `_tanh_amplitude`."""
+    amp = _tanh_amplitude(alpha, gamma, parameterization)
+    p = amp / gamma                     # psi ~ sech(gamma*y)^p
     A = lambda y: -amp * np.tanh(gamma * np.asarray(y, float))
     A_prime = lambda y: -amp * gamma / np.cosh(gamma * np.asarray(y, float)) ** 2
     log_norm = np.log(gamma) - np.log(special.beta(p / 2.0, 0.5))

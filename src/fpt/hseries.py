@@ -21,6 +21,11 @@ the same values bit for bit.
 
 Everything is carried in log space: psi underflows long before the left
 cutoff matters, and the seeds involve high powers of small h_1 values.
+
+The table is read through one interpolant, a monotone cubic (PCHIP) of
+log h_r over all rows at once, built on first use and kept with the
+table: `HTable.h_at`, `integrate_h` (and so the cumulants) and
+`decay.ratio_sequence` all evaluate it.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError, NumericsError
-from .forcefield import ForceField, InvariantMeasure, classify
+from .forcefield import ForceField, InvariantMeasure, _integrate_segments, classify
 
 __all__ = ["HGrid", "HTable", "catalan_numbers", "h1", "build_table",
-           "cumulant_integrand", "integrate_h"]
+           "integrate_h"]
 
 
 def catalan_numbers(n):
@@ -69,7 +74,12 @@ class HGrid:
 
 @dataclass(frozen=True)
 class HTable:
-    """Grid of log h_r values, r = 1..r_max (row r-1)."""
+    """Grid of log h_r values, r = 1..r_max (row r-1).
+
+    `interpolant` is the PCHIP of all rows of `log_values` in z, made once
+    per table on first use.  It interpolates log h_r, so the h_r read from
+    it are positive, and it reproduces the nodes; outside the grid it
+    returns nan."""
 
     grid: HGrid
     r_max: int
@@ -79,19 +89,23 @@ class HTable:
     def values(self):
         return np.exp(self.log_values)
 
-    def log_interpolator(self, r):
+    @cached_property
+    def interpolant(self):
+        return PchipInterpolator(self.grid.nodes, self.log_values, axis=1,
+                                 extrapolate=False)
+
+    def _check_row(self, r):
         if not 1 <= r <= self.r_max:
             raise InputError(f"r = {r} outside table range 1..{self.r_max}")
-        return PchipInterpolator(self.grid.nodes, self.log_values[r - 1],
-                                 extrapolate=False)
 
     def h_at(self, r, z):
         """h_r(z), interpolating in log space between grid nodes."""
+        self._check_row(r)
         z = np.asarray(z, float)
         if np.any(z < self.grid.nodes[0] - 1e-12) or np.any(z > self.grid.nodes[-1] + 1e-12):
             raise InputError("query point outside the table grid")
         zc = np.clip(z, self.grid.nodes[0], self.grid.nodes[-1])
-        return np.exp(self.log_interpolator(r)(zc))
+        return np.exp(self.interpolant(zc)[r - 1])
 
 
 def h1(ff: ForceField, im: InvariantMeasure, y):
@@ -185,27 +199,14 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
     return HTable(grid=grid, r_max=r_max, log_values=logh)
 
 
-def cumulant_integrand(table: HTable, r: int):
-    """Expose z -> h_r(z) for downstream quadrature (monotone-cubic
-    interpolation of the table in log space, so values are positive and
-    grid nodes are reproduced exactly)."""
-    interp = table.log_interpolator(r)
-
-    def integrand(zz):
-        return np.exp(interp(np.asarray(zz, float)))
-
-    return integrand
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-
-
 def integrate_h(table: HTable, r: int, a, b):
-    """int_a^b h_r, splitting at grid nodes and applying 10-point
-    Gauss-Legendre per cell.  The interpolant is a cubic in each cell, so
-    exp(cubic) is analytic there and the fixed rule converges past double
-    precision; adaptive quadrature, by contrast, stalls on the C^1 seams
-    between cells."""
+    """int_a^b h_r over the table's interpolant, split at the grid nodes.
+
+    In each cell log h_r is one cubic, so every segment's integrand
+    exp(cubic) is analytic, and `forcefield._integrate_segments` is done
+    in one round for smooth drifts (up to four for the kinked
+    -y - |y - 0.77|)."""
+    table._check_row(r)
     a, b = float(a), float(b)
     if b < a:
         raise InputError("needs a <= b")
@@ -214,11 +215,6 @@ def integrate_h(table: HTable, r: int, a, b):
     z = table.grid.nodes
     if a < z[0] - 1e-12 or b > z[-1] + 1e-12:
         raise InputError("integration range outside the table grid")
-    interp = table.log_interpolator(r)
     cuts = np.concatenate(([a], z[(z > a) & (z < b)], [b]))
-    lo, hi = cuts[:-1], cuts[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.exp(interp(np.clip(pts, z[0], z[-1])))
-    return float(np.sum(half * (vals @ _GL_W)))
+    h = lambda x, _: np.exp(table.interpolant(np.clip(x, z[0], z[-1]))[r - 1])
+    return float(np.sum(_integrate_segments(h, cuts[:-1], cuts[1:])))

@@ -47,8 +47,8 @@ class SolutionGrid:
 @dataclass(frozen=True)
 class TreeResult:
     """Lattice output.  Only the mass absorbed within each step is stored;
-    the step-end times, the cumulative absorption F and the density are
-    derived from it on each access."""
+    the step-end times and the cumulative absorption F are derived from it
+    on each access."""
 
     absorbed_mass: np.ndarray         # mass absorbed within each step
     dy: float
@@ -61,10 +61,6 @@ class TreeResult:
     @property
     def F(self):
         return np.cumsum(self.absorbed_mass)
-
-    @property
-    def density(self):
-        return self.absorbed_mass / self.dtau
 
 
 @dataclass(frozen=True)

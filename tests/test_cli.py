@@ -81,6 +81,22 @@ def test_cumulants_command(capsys):
     assert k1 == pytest.approx(2.0934, abs=2e-3)
 
 
+def test_cumulants_command_dimensional_column(tmp_path, capsys):
+    """The dimensional column is the dimensionless one over kappa^r, with
+    kappa the config field's time scale."""
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps({"type": "expr", "A": "-y - 0.1*sin(y)",
+                                "kappa": 1.7}))
+    code, out = run(capsys, "cumulants", "--config", str(path), "--start",
+                    "-1.5", "--barrier", "0.5", "--rmax", "4")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == ["r", "kappa_r_dimensionless", "kappa_r_dimensional"]
+    for r, k, kd in rows[1:5]:
+        assert float(kd) == float(k) / 1.7 ** int(r)
+    assert rows[5][0] == "mean_direct" and rows[5][2] == ""
+
+
 def test_density_with_validation_columns(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code, _ = run(capsys, "density", "--model", "ou", "--start", "-1",
@@ -183,6 +199,15 @@ def test_exit_code_bad_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lambda", "--model", "nonsense"])
     assert exc.value.code == 3
+
+
+def test_exit_code_bad_tanh_parameters(capsys):
+    # a zero gamma is bad input (exit 3), not a division by zero
+    assert main(["lambda", "--model", "tanh", "--gamma", "0", "--barrier", "0"]) == 3
+    assert main(["lambda", "--model", "tanh", "--gamma", "0", "--barrier", "0",
+                 "--exact"]) == 3
+    assert main(["fig1", "--model", "tanh", "--alpha=-1", "--gamma=-1",
+                 "--sweep=-1:1:3"]) == 3
 
 
 def test_exit_code_numeric_failure(capsys):

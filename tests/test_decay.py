@@ -223,6 +223,19 @@ def test_exact_tanh_polynomial_zero():
         fpt.lambda_exact("tanh", 0.5, alpha=2.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("params", [
+    {"parameterization": "bogus"},
+    {"gamma": 0.0}, {"gamma": -1.0}, {"alpha": 0.0}, {"alpha": -1.0, "gamma": -1.0},
+    {"gamma": 0.0, "parameterization": "ratio"}])
+def test_tanh_parameters_rejected_like_builtin(params):
+    """lambda_exact resolves the tanh amplitude as `builtin` does, and
+    rejects the same parameters with InputError."""
+    with pytest.raises(InputError):
+        fpt.lambda_exact("tanh", 0.0, **params)
+    with pytest.raises(InputError):
+        fpt.builtin("tanh", **params)
+
+
 def test_tanh_eigenvalue_ladder():
     lam, valid = tanh_eigenvalues(5.0, 1.0, n_max=4)
     # lambda_{n+1} - lambda_n = gamma(alpha-gamma) - 2 gamma^2 n

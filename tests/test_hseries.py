@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 import fpt
+import fpt.hseries as hseries
 from fpt.errors import InputError
 from fpt.hseries import _log_h1, _log_trapezium_increment, catalan_numbers
 
@@ -179,16 +181,22 @@ def sine_expr():
 @pytest.mark.parametrize("step", [1 / 32, 1 / 128])
 def test_march_matches_node_by_node_loop(request, field, r_max, step):
     """The accumulate applies the loop's logaddexp calls in the loop's
-    order, so the tables, and the ratios read from them, agree bit for
-    bit."""
+    order, so the tables agree bit for bit.  So do the table's one
+    all-rows interpolant and one PCHIP per row, and the ratios and h_r
+    read from them."""
     ff, im = request.getfixturevalue(field)
     grid = fpt.HGrid(step=step, z_max=2.5)
     table = fpt.build_table(ff, im, grid, r_max)
     assert np.array_equal(table.log_values, _march_by_loop(im, grid, r_max))
+    rows = [PchipInterpolator(grid.nodes, table.log_values[r - 1], extrapolate=False)
+            for r in range(1, r_max + 1)]
     for y in (-1.0, 0.37, 2.5):
-        logs = np.array([table.log_interpolator(r)(y) for r in range(1, r_max + 1)])
+        logs = np.array([row(y) for row in rows])
+        assert np.array_equal(table.interpolant(y), logs)
         assert np.array_equal(fpt.ratio_sequence(table, y),
                               np.exp(logs[:-1] - logs[1:]))
+        assert all(table.h_at(r, y) == np.exp(logs[r - 1])
+                   for r in range(1, r_max + 1))
 
 
 def test_trapezium_increment_at_equal_ordinates():
@@ -245,16 +253,38 @@ def test_trapezium_increment_matches_mpmath_at_small_log_steps():
 # ----------------------------------------------------------------------
 
 def test_integrand_reproduces_nodes(ou_table6):
-    g = fpt.cumulant_integrand(ou_table6, 3)
     nodes = ou_table6.grid.nodes[::50]
-    assert g(nodes) == pytest.approx(ou_table6.values[2, ::50], rel=1e-13)
+    assert ou_table6.h_at(3, nodes) == pytest.approx(ou_table6.values[2, ::50],
+                                                     rel=1e-13)
 
 
 def test_integrand_rejects_out_of_range(ou_table6):
     with pytest.raises(InputError):
-        fpt.cumulant_integrand(ou_table6, 99)
+        ou_table6.h_at(99, 0.0)
+    with pytest.raises(InputError):
+        fpt.integrate_h(ou_table6, 99, 0.0, 1.0)
     with pytest.raises(InputError):
         ou_table6.h_at(2, 7.0)
+
+
+def test_table_builds_one_interpolant(ou, monkeypatch):
+    """`cumulants` reads every row through the table's one interpolant,
+    built on first use; later reads build none."""
+    built = []
+
+    class Counting(PchipInterpolator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hseries, "PchipInterpolator", Counting)
+    table = fpt.build_table(*ou, fpt.HGrid(z_max=2.0), r_max=4)
+    fpt.cumulants(table, -1.0, 2.0)
+    assert len(built) == 1
+    for y in (-1.0, 0.5, 2.0):
+        table.h_at(2, y)
+    fpt.ratio_sequence(table, 1.0)
+    assert len(built) == 1
 
 
 def test_table_matches_taylor_coefficients_of_log_derivative(ou_table6):
@@ -294,12 +324,53 @@ def test_h2_against_direct_quadrature(ou, ou_table6, ou_phi_over_phi):
 
 def test_integrate_h_against_adaptive_quadrature(ou_table6):
     from scipy import integrate as scint
-    g = fpt.cumulant_integrand(ou_table6, 3)
+    g = lambda z: ou_table6.h_at(3, z)
     for a, b in ((-1.234, 0.777), (0.0, 2.5), (-5.01, -4.99)):
         ref, _ = scint.quad(g, a, b, limit=400)
         assert fpt.integrate_h(ou_table6, 3, a, b) == pytest.approx(ref, rel=1e-8)
     with pytest.raises(InputError):
         fpt.integrate_h(ou_table6, 3, -20.0, 0.0)
+
+
+_GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
+
+
+def _integrate_h_fixed_rule(table, r, a, b):
+    """Reference: 10-point Gauss-Legendre in every cell between grid nodes,
+    on a PCHIP of row r alone, the rule `integrate_h` used before it read
+    the shared interpolant through `_integrate_segments`."""
+    z = table.grid.nodes
+    interp = PchipInterpolator(z, table.log_values[r - 1], extrapolate=False)
+    cuts = np.concatenate(([a], z[(z > a) & (z < b)], [b]))
+    lo, hi = cuts[:-1], cuts[1:]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    pts = mid[:, None] + half[:, None] * _GL10_X[None, :]
+    vals = np.exp(interp(np.clip(pts, z[0], z[-1])))
+    return float(np.sum(half * (vals @ _GL10_W)))
+
+
+@pytest.fixture(scope="module")
+def kink_expr():
+    return fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)"})
+
+
+@pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction", "abm",
+                                   "sine_expr", "kink_expr"])
+def test_integrate_h_matches_fixed_rule(request, field):
+    """Every segment of `integrate_h` is exp(cubic), analytic, where the
+    fixed rule is past double precision too: the two agree to 1e-13 on
+    5 barriers x 5 offsets x every row of r_max 4 and 8."""
+    ff, im = request.getfixturevalue(field)
+    worst = 0.0
+    for r_max in (4, 8):
+        for y_plus in (-2.0, -0.3, 0.5, 1.7, 3.0):
+            table = fpt.build_table(ff, im, fpt.HGrid(z_max=y_plus + 1e-9), r_max)
+            for off in (0.02, 0.3, 1.1, 3.2, 7.5):
+                for r in range(1, r_max + 1):
+                    got = fpt.integrate_h(table, r, y_plus - off, y_plus)
+                    ref = _integrate_h_fixed_rule(table, r, y_plus - off, y_plus)
+                    worst = max(worst, abs(got / ref - 1.0))
+    assert worst < 1e-13
 
 
 def test_h1_reports_underflowing_measure(ou):
