@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -32,24 +31,23 @@ TABLE1_ROWS = [-2.86, -2.33, -np.sqrt(3.0), -1.0, -0.5, 0.0,
                0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
 
-@dataclass
-class RunConfig:
-    """Echoable invocation record; serialize -> parse is the identity."""
+_MODEL_PARAMS = ("mu", "alpha", "gamma", "parameterization")
 
-    command: str
-    model: str = "ou"
-    params: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    out: str = None
-    seed: int = 0
-    config: str = None
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
+def _config_json(args):
+    """The `# config:` record of a CSV header, with sorted keys: the
+    command, model, out, seed and config, the model parameters under
+    "params" and the other options under "options"."""
+    record = {"command": args.command, "model": getattr(args, "model", "ou"),
+              "out": args.out, "seed": args.seed,
+              "config": getattr(args, "config", None),
+              "params": {}, "options": {}}
+    for k, v in vars(args).items():
+        if k in _MODEL_PARAMS:
+            record["params"][k] = v
+        elif k not in record:
+            record["options"][k] = v
+    return json.dumps(record, sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,10 +66,10 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_csv(path, cfg: RunConfig, columns, rows):
+def _write_csv(path, args, columns, rows):
     lines = [f"# fpt {__version__}",
-             f"# command: {cfg.command}",
-             f"# config: {cfg.to_json()}",
+             f"# command: {args.command}",
+             f"# config: {_config_json(args)}",
              ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -128,15 +126,15 @@ def _exact_or_none(name, y_plus, params):
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_pcf(args, cfg):
+def cmd_pcf(args):
     rows = [(args.s, args.y, _oupcf.pcf(args.s, args.y))]
     cols = ["s", "y", "value"]
     if args.zero is not None:
         rows.append((None, args.zero, -_oupcf.rightmost_zero(args.zero)))
-    _write_csv(args.out, cfg, cols, rows)
+    _write_csv(args.out, args, cols, rows)
 
 
-def cmd_lambda(args, cfg):
+def cmd_lambda(args):
     (ff, im), name = _field_from_args(args)
     params = _model_params(args)
     if args.sweep:
@@ -151,22 +149,22 @@ def cmd_lambda(args, cfg):
         rows.append((yp, est.lam, exact,
                      _decay.lambda_asymptotic(im, yp, "far_left"),
                      _decay.lambda_asymptotic(im, yp, "far_right")))
-    _write_csv(args.out, cfg,
+    _write_csv(args.out, args,
                ["y_plus", "lambda_est", "lambda_exact",
                 "lambda_asym_left", "lambda_asym_right"], rows)
 
 
-def cmd_hseries(args, cfg):
+def cmd_hseries(args):
     (ff, im), _ = _field_from_args(args)
     grid = _hseries.HGrid(Z=args.zleft, step=args.step, z_max=args.zmax)
     table = _hseries.build_table(ff, im, grid, args.rmax)
     cols = ["z"] + [f"h_{r}" for r in range(1, args.rmax + 1)]
     vals = table.values
     rows = [(z, *vals[:, j]) for j, z in enumerate(grid.nodes)]
-    _write_csv(args.out, cfg, cols, rows)
+    _write_csv(args.out, args, cols, rows)
 
 
-def cmd_cumulants(args, cfg):
+def cmd_cumulants(args):
     (ff, im), _ = _field_from_args(args)
     grid = _hseries.HGrid(z_max=max(args.barrier, _hseries.HGrid.Z + 1.0) + 1e-9)
     table = _hseries.build_table(ff, im, grid, args.rmax)
@@ -174,7 +172,7 @@ def cmd_cumulants(args, cfg):
                             time_scale=ff.kappa)
     rows = list(zip(range(1, len(cs.kappa_r) + 1), cs.kappa_r, cs.dimensional()))
     rows.append(("mean_direct", cs.mean_direct, None))
-    _write_csv(args.out, cfg, ["r", "kappa_r_dimensionless", "kappa_r_dimensional"], rows)
+    _write_csv(args.out, args, ["r", "kappa_r_dimensionless", "kappa_r_dimensional"], rows)
 
 
 def _build_density_model(args):
@@ -185,7 +183,7 @@ def _build_density_model(args):
         model_params=_model_params(args))
 
 
-def cmd_density(args, cfg):
+def cmd_density(args):
     model = _build_density_model(args)
     tau = np.linspace(args.tmax / args.n, args.tmax, args.n)
     fvals = _density.eval_density(model, tau)
@@ -200,48 +198,48 @@ def cmd_density(args, cfg):
         cols += ["f_pde", "abs_err"]
     else:
         rows = list(zip(tau, fvals))
-    _write_csv(args.out, cfg, cols, rows)
+    _write_csv(args.out, args, cols, rows)
 
 
-def cmd_oracle(args, cfg):
+def cmd_oracle(args):
     (ff, im), _ = _field_from_args(args)
     if args.oracle == "pde":
         grid = _oracle.solve_pde(ff, args.barrier, dy=args.dy, dtau=args.dtau,
                                  tau_max=args.tmax, probe_y=(args.start,))
         rows = list(zip(grid.probe_tau, grid.probe_F[0], grid.probe_f[0]))
-        _write_csv(args.out, cfg, ["tau", "F", "f"], rows)
+        _write_csv(args.out, args, ["tau", "F", "f"], rows)
     elif args.oracle == "tree":
         res = _oracle.solve_tree(ff, args.barrier, args.start,
                                  dtau=args.dtau, tau_max=args.tmax)
         rows = list(zip(res.tau_nodes, res.absorbed_mass, res.F))
-        _write_csv(args.out, cfg, ["tau", "absorbed_mass", "F"], rows)
+        _write_csv(args.out, args, ["tau", "absorbed_mass", "F"], rows)
     elif args.oracle == "mc":
         res = _oracle.simulate(ff, args.barrier, args.start, dt=args.dt,
                                n_paths=args.paths, tau_max=args.tmax,
-                               bridge=not args.no_bridge, seed=cfg.seed)
+                               bridge=not args.no_bridge, seed=args.seed)
         tgrid = np.linspace(args.tmax / 200, args.tmax, 200)
         emp = np.searchsorted(res.samples, tgrid, side="right") / res.n_paths
         rows = [(res.mean, res.mean_standard_error, res.censored_count)]
-        _write_csv(args.out, cfg, ["mean", "mean_se", "censored"], rows)
+        _write_csv(args.out, args, ["mean", "mean_se", "censored"], rows)
         if args.out:
             curve_path = args.out.replace(".csv", "") + "_cdf.csv"
-            _write_csv(curve_path, cfg, ["tau", "F_empirical"],
+            _write_csv(curve_path, args, ["tau", "F_empirical"],
                        list(zip(tgrid, emp)))
     else:
         raise InputError(f"unknown oracle {args.oracle!r}")
 
 
-def cmd_table1(args, cfg):
+def cmd_table1(args):
     ff, im = builtin("ou")
     rows = []
     for yp in TABLE1_ROWS:
         exact = _oupcf.rightmost_zero(yp)
         est = _decay.estimate_lambda(ff, im, yp).lam
         rows.append((yp, exact, est))
-    _write_csv(args.out, cfg, ["y_plus", "lambda_exact", "lambda_est"], rows)
+    _write_csv(args.out, args, ["y_plus", "lambda_exact", "lambda_est"], rows)
 
 
-def cmd_fig1(args, cfg):
+def cmd_fig1(args):
     (ff, im), name = _field_from_args(args)
     params = _model_params(args)
     a, b, n = _parse_sweep(args.sweep)
@@ -258,16 +256,18 @@ def cmd_fig1(args, cfg):
             if a <= z <= b:
                 rows.append(("marker", z, None, float(order), None, None))
     elif name == "tanh":
+        # the n=1 level is the rate at its zero y_plus = 0 where it is bound,
+        # and at amp = 2 gamma, where it meets the branch point amp^2/4
         amp = _tanh_amplitude(args.alpha, args.gamma, args.parameterization)
-        if amp / args.gamma > 1.0 and a <= 0.0 <= b:
-            rows.append(("marker", 0.0, None,
-                         args.gamma * (amp - args.gamma), None, None))
-    _write_csv(args.out, cfg,
+        lam, bound = _decay.tanh_eigenvalues(amp, args.gamma, 1)
+        if (bound[0] or amp == 2.0 * args.gamma) and a <= 0.0 <= b:
+            rows.append(("marker", 0.0, None, lam[0], None, None))
+    _write_csv(args.out, args,
                ["kind", "y_plus", "lambda_est", "lambda_exact",
                 "lambda_asym_left", "lambda_asym_right"], rows)
 
 
-def cmd_validate(args, cfg):
+def cmd_validate(args):
     (ff, im), name = _field_from_args(args)
     params = _model_params(args)
     barriers = [float(v) for v in args.barriers.split(",")]
@@ -313,7 +313,7 @@ def cmd_validate(args, cfg):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         curve_path = args.out.rsplit(".", 1)[0] + "_curves.csv"
-        _write_csv(curve_path, cfg, ["case", "tau", "f_formula", "f_pde"], curves)
+        _write_csv(curve_path, args, ["case", "tau", "f_formula", "f_pde"], curves)
     else:
         sys.stdout.write(text + "\n")
 
@@ -434,20 +434,8 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", "ou"),
-        params={k: getattr(args, k) for k in
-                ("mu", "alpha", "gamma", "parameterization") if hasattr(args, k)},
-        options={k: v for k, v in sorted(vars(args).items())
-                 if k not in ("command", "model", "mu", "alpha", "gamma",
-                              "parameterization", "out", "seed", "config")},
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        config=getattr(args, "config", None),
-    )
     try:
-        COMMANDS[args.command](args, cfg)
+        COMMANDS[args.command](args)
     except InputError as exc:
         print(f"fpt: bad input: {exc}", file=sys.stderr)
         return 3

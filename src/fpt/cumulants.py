@@ -40,10 +40,10 @@ class CumulantSet:
         return self.kappa_r / self.time_scale ** r
 
 
-def cumulants(table: HTable, y0, y_plus, r_max=None, im=None,
+def cumulants(table: HTable, y0, y_plus, im=None,
               time_scale=1.0) -> CumulantSet:
-    """k_r = r! * int_{y0}^{y_plus} h_r over the interpolated table
-    (see `integrate_h`).
+    """k_r = r! * int_{y0}^{y_plus} h_r for every row r of the table, over
+    its interpolant (see `integrate_h`).
 
     When the invariant measure is supplied the mean is additionally
     cross-computed from Psi/psi directly (no table interpolation) and
@@ -52,14 +52,10 @@ def cumulants(table: HTable, y0, y_plus, r_max=None, im=None,
     y0, y_plus = float(y0), float(y_plus)
     if y0 > y_plus:
         raise InputError("needs y0 <= y_plus")
-    r_max = table.r_max if r_max is None else int(r_max)
-    if r_max > table.r_max:
-        raise InputError(f"r_max = {r_max} exceeds table depth {table.r_max}")
-
-    out = np.zeros(r_max)
+    out = np.zeros(table.r_max)
     if y_plus > y0:
         fac = 1.0
-        for r in range(1, r_max + 1):
+        for r in range(1, table.r_max + 1):
             fac *= r
             out[r - 1] = fac * integrate_h(table, r, y0, y_plus)
 

@@ -17,9 +17,13 @@ the paper's method.
 
 Exact rates for the worked models (OU via parabolic-cylinder zeros,
 arithmetic Brownian motion, dry friction via a Lambert-W closed form of
-its pole condition, tanh via the Romanovski eigenvalue at the n=1 zero)
-live in `lambda_exact`, and the two boundary asymptotes in
-`lambda_asymptotic`.
+its pole condition, tanh at the n=1 Romanovski zero y_plus = 0) live in
+`lambda_exact`, and the two boundary asymptotes in `lambda_asymptotic`.
+For tanh, -amp*tanh(gamma*y), the Schrodinger form of the problem is a
+Poschl-Teller well with s = amp/(2 gamma), which binds the odd n=1 state
+only for s > 1: the rate at y_plus = 0 is that level, gamma*(amp - gamma),
+for amp >= 2 gamma, and the branch point amp^2/4 below (the two meet at
+amp = 2 gamma).
 """
 
 from __future__ import annotations
@@ -98,10 +102,10 @@ def aitken_A1(x):
 
 
 def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus,
-                    r_max: int = 4, grid: HGrid = None) -> DecayEstimate:
+                    r_max: int = 4) -> DecayEstimate:
     """Decay-rate estimate from the h-table ratio sequence.
 
-    Builds the table (default grid Z=-10, step 1/32 up to y_plus), forms
+    Builds the table (grid Z=-10, step 1/32 up to y_plus), forms
     the ratios, applies the hyperbolic accelerator, and returns the first
     stable accelerated term; raw sequences ride along for diagnostics.
 
@@ -114,8 +118,7 @@ def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus,
     """
     if r_max < 4:
         raise InputError("r_max >= 4 needed for one accelerated term")
-    if grid is None:
-        grid = HGrid(z_max=max(float(y_plus), HGrid.Z + 1.0) + 1e-9)
+    grid = HGrid(z_max=max(float(y_plus), HGrid.Z + 1.0) + 1e-9)
     table = build_table(ff, im, grid, r_max)
     x = ratio_sequence(table, y_plus)
     accel, ok = aitken_A1(x)
@@ -195,10 +198,12 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
                  Laplace transform in closed form via Lambert W, up to
                  mu*y_plus of about 708, where the rate underflows,
     tanh         only the boundary at the n=1 polynomial zero (y_plus = 0)
-                 is covered: min of gamma*(alpha-gamma) and the
-                 branch-point value alpha^2/4; NumericsError elsewhere.
-                 alpha, gamma and parameterization are those of
-                 `builtin('tanh', ...)`, and rejected as there.
+                 is covered: the n=1 level gamma*(amp-gamma) of
+                 `tanh_eigenvalues` where it is bound (amp > 2 gamma), and
+                 the branch-point value amp^2/4 otherwise, which equals it
+                 at amp = 2 gamma; NumericsError elsewhere.  amp comes from
+                 alpha, gamma and parameterization as in
+                 `builtin('tanh', ...)`, which are rejected as there.
     """
     y_plus = float(y_plus)
     if model == "ou":
@@ -217,8 +222,6 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
             raise NumericsError(
                 "no polynomial eigenvalue available: the n=1 Romanovski zero "
                 "sits at y_plus = 0 and higher levels are out of scope")
-        if amp / gamma <= 1.0:
-            raise NumericsError("no polynomial eigenvalue available: the "
-                                "Romanovski family is empty for alpha <= gamma")
-        return min(gamma * (amp - gamma), amp * amp / 4.0)
+        lam, bound = tanh_eigenvalues(amp, gamma, 1)
+        return float(lam[0]) if bound[0] else amp * amp / 4.0
     raise InputError(f"unknown model {model!r}")

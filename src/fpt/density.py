@@ -46,15 +46,22 @@ SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 # parameters
 # ----------------------------------------------------------------------
 
-# panels of `domain` that theta_fisher starts from
+# theta_fisher integrates over _THETA_DOMAIN, from _THETA_PANELS panels
+_THETA_DOMAIN = (-40.0, 40.0)
 _THETA_PANELS = 32
+# _normalizer's mid and tail node counts and the w where its tail starts;
+# calibrate_rho's initial bracket, its doublings and the accepted residual
+_NORM_N_MID, _NORM_N_TAIL, _NORM_W_SPLIT = 400, 48, 0.05
+_RHO_BRACKET, _RHO_MAX_EXPAND, _RHO_TOL = 20.0, 5, 1e-10
+# solve_h_tilde's Taylor step below y_plus, and the |h~| of a blow-up
+_H_TILDE_EPS, _H_TILDE_BLOWUP = 1e-4, 1e6
 
 
-def theta_fisher(ff: ForceField, im: InvariantMeasure, domain=(-40.0, 40.0)):
+def theta_fisher(ff: ForceField, im: InvariantMeasure):
     """Average rate of mean reversion <A^2> over the invariant density
     (the Fisher information of the location family psi(y - m)).
 
-    <A^2> and its cross-check <-A'> are integrated over `domain` together
+    <A^2> and its cross-check <-A'> are integrated over (-40, 40) together
     by `forcefield._integrate_segments`, 32 panels each, in its
     whole-integral mode: every round evaluates A, A' and psi once, on all
     of its nodes, and the two integrals are accurate to about 1e-14 of
@@ -78,7 +85,7 @@ def theta_fisher(ff: ForceField, im: InvariantMeasure, domain=(-40.0, 40.0)):
 
     # segments 0..n-1 integrate A^2 psi, segments n..2n-1 -A' psi
     n = _THETA_PANELS
-    edges = np.linspace(domain[0], domain[1], n + 1)
+    edges = np.linspace(*_THETA_DOMAIN, n + 1)
 
     def integrand(x, k):
         first = np.repeat(k < n, x.size // k.size)
@@ -193,18 +200,19 @@ def _gauss_legendre(n):
     return x, w
 
 
-def _normalizer(model: DensityModel, n_mid=400, n_tail=48, w_split=0.05):
+def _normalizer(model: DensityModel):
     """rho -> int_0^inf f dtau for `model` (theta > 0) with that rho, from
     three pieces.
 
     head   tau < tau_c where q > 1 - 1e-8: exact integral of the short-time
            form, erfc(b / (2 sqrt(tau_c)));
-    mid    Gauss-Legendre in x = b/(2 sqrt(tau)), i.e. against the measure
-           d erfc = (2/sqrt(pi)) e^{-x^2} dx, which absorbs the essential
-           singularity exactly and leaves a slowly-varying factor f/LS;
-    tail   tau > T with w = e^{-theta tau} < w_split:  f = w^{lam/theta}
-           G(w)/... with G analytic at w = 0, so Gauss-Jacobi with weight
-           w^{lam/theta - 1} on [0, w_split] is spectrally accurate.
+    mid    400-point Gauss-Legendre in x = b/(2 sqrt(tau)), i.e. against
+           the measure d erfc = (2/sqrt(pi)) e^{-x^2} dx, which absorbs the
+           essential singularity exactly and leaves a slowly-varying factor
+           f/LS;
+    tail   tau > T with w = e^{-theta tau} < 0.05:  f = w^{lam/theta}
+           G(w)/... with G analytic at w = 0, so 48-point Gauss-Jacobi with
+           weight w^{lam/theta - 1} on [0, 0.05] is spectrally accurate.
 
     Everything that does not depend on rho (the nodes, log psi(y_plus) -
     log psi(y0) and log f but for its rho term) is built here, once; each
@@ -215,20 +223,20 @@ def _normalizer(model: DensityModel, n_mid=400, n_tail=48, w_split=0.05):
     tau_c = -np.log1p(-1e-8) / (2.0 * th)
     head = special.erfc(b / (2.0 * np.sqrt(tau_c)))
 
-    T = -np.log(w_split) / th
+    T = -np.log(_NORM_W_SPLIT) / th
     a = lam / th
     # tail: (1/theta) int_0^wsplit w^(a-1) G(w) dw,  G = f * e^{lam tau}
-    xj, wj = special.roots_jacobi(n_tail, 0.0, a - 1.0)
-    w_nodes = (xj + 1.0) * (w_split / 2.0)
+    xj, wj = special.roots_jacobi(_NORM_N_TAIL, 0.0, a - 1.0)
+    w_nodes = (xj + 1.0) * (_NORM_W_SPLIT / 2.0)
     taus = -np.log(w_nodes) / th
     tail_base, w = _rho_free_log_density(model, taus, dlpsi)
     tail_omw, tail_opw = 1.0 - w, 1.0 + w
     tail_lam = lam * taus
-    tail_scale = (w_split / 2.0) ** a
+    tail_scale = (_NORM_W_SPLIT / 2.0) ** a
 
     x_lo = b / (2.0 * np.sqrt(T))
     x_hi = min(b / (2.0 * np.sqrt(tau_c)), x_lo + 9.0)
-    xg, wg = _gauss_legendre(n_mid)
+    xg, wg = _gauss_legendre(_NORM_N_MID)
     x = 0.5 * (xg + 1.0) * (x_hi - x_lo) + x_lo
     tau = b * b / (4.0 * x * x)
     log_ls = (np.log(b) - 0.5 * np.log(4.0 * np.pi * tau**3)
@@ -254,15 +262,15 @@ def _normalizer(model: DensityModel, n_mid=400, n_tail=48, w_split=0.05):
     return normalization
 
 
-def calibrate_rho(model: DensityModel, bracket=20.0, tol=1e-10,
-                  max_expand=5):
+def calibrate_rho(model: DensityModel):
     """Solve normalization(rho) = 1 for rho.
 
     The normalization is strictly increasing in rho, so a bracketed root
-    find is safe; the initial bracket [-20, 20] is doubled until it
-    straddles 1.  The sensitivity d(norm)/d(rho) is recorded: it vanishes
-    as y0 -> y_plus, where rho becomes unidentifiable (flagged by a
-    warning, not an error).
+    find is safe; the initial bracket [-20, 20] is doubled, at most five
+    times, until it straddles 1, and the residual must end below 1e-10.
+    The sensitivity d(norm)/d(rho) is recorded: it vanishes as
+    y0 -> y_plus, where rho becomes unidentifiable (flagged by a warning,
+    not an error).
 
     The quadrature nodes and the rho-free part of log f at them are built
     once (`_normalizer`, about 0.4 ms), and each of the ~30 bracket,
@@ -279,12 +287,12 @@ def calibrate_rho(model: DensityModel, bracket=20.0, tol=1e-10,
 
     norm = _normalizer(model)
     g = lambda r: norm(r) - 1.0
-    lo, hi = -bracket, bracket
+    lo, hi = -_RHO_BRACKET, _RHO_BRACKET
     glo, ghi = g(lo), g(hi)
     expand = 0
     while glo * ghi > 0.0:
         expand += 1
-        if expand > max_expand:
+        if expand > _RHO_MAX_EXPAND:
             raise NumericsError(
                 f"rho bracket exhausted: normalization - 1 is {glo:.3e} at "
                 f"rho = {lo:g} and {ghi:.3e} at rho = {hi:g}")
@@ -294,8 +302,9 @@ def calibrate_rho(model: DensityModel, bracket=20.0, tol=1e-10,
 
     rho = brentq(g, lo, hi, xtol=1e-13, rtol=8 * np.finfo(float).eps)
     resid = g(rho)
-    if abs(resid) > tol:
-        raise NumericsError(f"calibration residual {resid:.2e} above {tol:g}")
+    if abs(resid) > _RHO_TOL:
+        raise NumericsError(
+            f"calibration residual {resid:.2e} above {_RHO_TOL:g}")
 
     drho = 1e-4
     sens = (norm(rho + drho) - norm(rho - drho)) / (2 * drho)
@@ -372,19 +381,19 @@ class HTildeSolution:
         return self.h_tilde(y)
 
 
-def solve_h_tilde(ff: ForceField, lam, y_plus, y_min, eps=1e-4,
-                  blowup=1e6) -> HTildeSolution:
+def solve_h_tilde(ff: ForceField, lam, y_plus, y_min) -> HTildeSolution:
     """Integrate h~' = lam + h~^2 - A h~ + (2 h~ - A)/(y_plus - y)
     leftward from the boundary.
 
     The boundary values h~(y_plus) = A(y_plus)/2 and
     h~'(y_plus) = (lam - A(y_plus)^2/4 + A'(y_plus))/3 regularize the
-    0/0 at y = y_plus; integration starts a Taylor step eps below it.
-    Riccati blow-up before y_min is reported on the result, not raised:
-    this solver is a diagnostic, normalization calibration stays
-    authoritative for rho.
+    0/0 at y = y_plus; integration starts a Taylor step 1e-4 below it.
+    Riccati blow-up (|h~| reaching 1e6) before y_min is reported on the
+    result, not raised: this solver is a diagnostic, normalization
+    calibration stays authoritative for rho.
     """
     y_plus, y_min = float(y_plus), float(y_min)
+    eps = _H_TILDE_EPS
     if y_min >= y_plus - eps:
         raise InputError("y_min must sit below y_plus - eps")
     a_b = float(ff.A(y_plus))
@@ -399,7 +408,7 @@ def solve_h_tilde(ff: ForceField, lam, y_plus, y_min, eps=1e-4,
         return [lam + h * h - ff.A(y) * h + (2.0 * h - ff.A(y)) / (y_plus - y)]
 
     def blew(y, state):
-        return abs(state[0]) - blowup
+        return abs(state[0]) - _H_TILDE_BLOWUP
     blew.terminal = True
 
     sol = solve_ivp(rhs, (y_start, y_min), [h_start],
@@ -424,14 +433,15 @@ def solve_h_tilde(ff: ForceField, lam, y_plus, y_min, eps=1e-4,
                           blew_up=blew_up, h_tilde=h_tilde)
 
 
-def h_ansatz(model: DensityModel, tau, y, h_tilde=None):
+def h_ansatz(model: DensityModel, tau, y, h_tilde):
     """Spatial log-derivative -d(ln f)/dy implied by the global formula
     (residual term omitted):
 
         theta sqrt(q)(y - y_plus)/(1-q) + sqrt(q) A(y)/(1+sqrt(q))
-        + 1/(y_plus - y) + [(1-sqrt(q))/(1+sqrt(q))] h~(y).
+        + 1/(y_plus - y) + [(1-sqrt(q))/(1+sqrt(q))] h~(y),
 
-    `h_tilde` defaults to a fresh Riccati solve down to y.
+    with h~ the callable `h_tilde`, such as a `solve_h_tilde` result that
+    covers y.
     """
     tau = np.asarray(tau, float)
     if np.any(tau <= 0):
@@ -439,9 +449,6 @@ def h_ansatz(model: DensityModel, tau, y, h_tilde=None):
     y = float(y)
     if y >= model.y_plus:
         raise InputError("needs y < y_plus")
-    if h_tilde is None:
-        h_tilde = solve_h_tilde(model.ff, model.lam, model.y_plus,
-                                y - max(0.5, 0.1 * (model.y_plus - y)))
     th = model.theta
     w = np.exp(-th * tau)
     one_m_q = -np.expm1(-2.0 * th * tau)

@@ -61,22 +61,28 @@ class ForceField:
 
 @dataclass(frozen=True)
 class InvariantMeasure:
-    """Invariant density psi (psi'/psi = A) and its cumulative Psi.
+    """Invariant density psi (psi'/psi = A) and its cumulative Psi, given
+    by their logarithms.
 
-    `log_psi` and `log_Psi` are first-class because the h-coefficient
+    `log_psi` and `log_Psi` are the fields because the h-coefficient
     march needs them far in the left tail where the linear values
-    underflow.  For non-normalizable fields (ABM) psi is kept unnormalized
-    and `normalizable` is False; Psi is then just the left integral of psi.
-    `fisher_theta` carries the closed-form Fisher information <A^2> when
-    one is known (built-ins); quadrature is used otherwise.
+    underflow; `psi` and `Psi` exponentiate them.  For non-normalizable
+    fields (ABM) psi is kept unnormalized and `normalizable` is False; Psi
+    is then just the left integral of psi.  `fisher_theta` carries the
+    closed-form Fisher information <A^2> when one is known (built-ins);
+    quadrature is used otherwise.
     """
 
-    psi: Callable
-    Psi: Callable
     log_psi: Callable
     log_Psi: Callable
     normalizable: bool = True
     fisher_theta: Optional[float] = None
+
+    def psi(self, y):
+        return np.exp(self.log_psi(y))
+
+    def Psi(self, y):
+        return np.exp(self.log_Psi(y))
 
 
 @dataclass(frozen=True)
@@ -84,15 +90,13 @@ class SdeSpec:
     """General SDE dX = mu_X dt + sigma_X dW, to be Lamperti-reduced.
 
     `x_range` is the interval on which the monotone map x -> y is built and
-    inverted numerically.  `sigma_X_prime` is optional; central differences
-    are used when it is absent.
+    inverted numerically.  sigma_X' is taken by central differences.
     """
 
     mu_X: Callable
     sigma_X: Callable
     kappa: float = 1.0
     x_range: tuple = (-10.0, 10.0)
-    sigma_X_prime: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,8 @@ class ClassificationFlags:
 def _ou():
     A = lambda y: -np.asarray(y, float)
     A_prime = lambda y: np.full_like(np.asarray(y, float), -1.0)
-    log_psi = lambda y: -0.5 * np.square(np.asarray(y, float)) - LOG_SQRT_2PI
     im = InvariantMeasure(
-        psi=lambda y: np.exp(log_psi(y)),
-        Psi=lambda y: special.ndtr(np.asarray(y, float)),
-        log_psi=log_psi,
+        log_psi=lambda y: -0.5 * np.square(np.asarray(y, float)) - LOG_SQRT_2PI,
         log_Psi=lambda y: special.log_ndtr(np.asarray(y, float)),
         fisher_theta=1.0,
     )
@@ -131,19 +132,13 @@ def _dry_friction(mu):
     def log_psi(y):
         return np.log(mu / 2.0) - mu * np.abs(np.asarray(y, float))
 
-    def Psi(y):
-        y = np.asarray(y, float)
-        return np.where(y <= 0, 0.5 * np.exp(mu * np.minimum(y, 0.0)),
-                        1.0 - 0.5 * np.exp(-mu * np.maximum(y, 0.0)))
-
     def log_Psi(y):
         y = np.asarray(y, float)
         left = mu * y - np.log(2.0)
         right = np.log1p(-0.5 * np.exp(-mu * np.abs(y)))
         return np.where(y <= 0, left, right)
 
-    im = InvariantMeasure(psi=lambda y: np.exp(log_psi(y)), Psi=Psi,
-                          log_psi=log_psi, log_Psi=log_Psi,
+    im = InvariantMeasure(log_psi=log_psi, log_Psi=log_Psi,
                           fisher_theta=mu * mu)
     return ForceField(A, A_prime, label=f"dry_friction(mu={mu:g})"), im
 
@@ -180,8 +175,7 @@ def _tanh_field(alpha, gamma, parameterization):
         t = special.expit(2.0 * gamma * np.asarray(y, float))
         return special.betainc(p / 2.0, p / 2.0, t)
 
-    im = InvariantMeasure(psi=lambda y: np.exp(log_psi(y)), Psi=Psi,
-                          log_psi=log_psi,
+    im = InvariantMeasure(log_psi=log_psi,
                           log_Psi=_log_Psi_with_tail(Psi, log_psi, A),
                           fisher_theta=amp * amp * gamma / (amp + gamma))
     label = f"tanh(amp={amp:g},gamma={gamma:g})"
@@ -191,11 +185,8 @@ def _tanh_field(alpha, gamma, parameterization):
 def _abm(mu):
     A = lambda y: np.full_like(np.asarray(y, float), mu)
     A_prime = lambda y: np.zeros_like(np.asarray(y, float))
-    log_psi = lambda y: mu * np.asarray(y, float)
     im = InvariantMeasure(
-        psi=lambda y: np.exp(log_psi(y)),
-        Psi=lambda y: np.exp(mu * np.asarray(y, float)) / mu,
-        log_psi=log_psi,
+        log_psi=lambda y: mu * np.asarray(y, float),
         log_Psi=lambda y: mu * np.asarray(y, float) - np.log(mu),
         normalizable=False,
         fisher_theta=0.0,
@@ -360,7 +351,8 @@ def _log_Psi_with_tail(Psi, log_psi, A):
 def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
     """InvariantMeasure of the unit-diffusion drift A, by quadrature.
 
-    psi is exp(int A) normalized on `domain`, and Psi its left integral.
+    psi is exp(int A) normalized on `domain` and 0 outside it, and Psi
+    its left integral.
     On the n equally spaced nodes y_j of `domain`:
 
     - log psi(y_j) is the cumulative sum of the panel integrals of A;
@@ -386,8 +378,8 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
     - Psi treats the mass left of the 1e-300 cutoff as 0.
     - Where Psi underflows, log Psi is the far-left asymptote
       log psi - log|A|.
-    - Queries outside `domain` read its end nodes: log psi of the end
-      node, and Psi of 0 or the total mass.
+    - Outside `domain` log psi is -inf, and Psi is 0 left of it and the
+      total mass right of it.
     Warns when the total mass differs from 1 by more than 1e-6.
     """
     y = np.linspace(domain[0], domain[1], n)
@@ -437,7 +429,8 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
     log_Z = np.log(Z)
 
     def log_psi(t):
-        out = np.asarray(_log_psi_u(t) - log_Z)
+        t = np.asarray(t, float)
+        out = np.where((t < y[0]) | (t > y[-1]), -np.inf, _log_psi_u(t) - log_Z)
         return out if out.ndim else float(out)
 
     # cumulative at nodes, from the cutoff where psi < 1e-300, adding the
@@ -465,8 +458,7 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
             out[inside] = Psi_nodes[j] + seg
         return out if out.ndim else float(out)
 
-    return InvariantMeasure(psi=lambda t: np.exp(log_psi(t)), Psi=Psi,
-                            log_psi=log_psi,
+    return InvariantMeasure(log_psi=log_psi,
                             log_Psi=_log_Psi_with_tail(Psi, log_psi, A))
 
 
@@ -474,31 +466,32 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
 # Lamperti reduction
 # ----------------------------------------------------------------------
 
-def lamperti(spec: SdeSpec, n=2001) -> ForceField:
+# nodes of spec.x_range on which lamperti builds the map x -> y
+_LAMPERTI_NODES = 2001
+
+
+def lamperti(spec: SdeSpec) -> ForceField:
     """Reduce dX = mu_X dt + sigma_X dW to unit-diffusion form.
 
     With y(x) = int sqrt(2 kappa)/sigma_X and Ito's lemma,
 
         A(y) = sqrt(2/kappa) * (mu_X/sigma_X - sigma_X'/2) at x = x(y).
 
-    The monotone map x -> y is built by cumulative quadrature on
-    `spec.x_range` and inverted with a monotone interpolant.
+    The monotone map x -> y is built by cumulative quadrature on 2001 nodes
+    of `spec.x_range` and inverted with a monotone interpolant.
     """
     a, b = spec.x_range
-    x = np.linspace(a, b, n)
+    x = np.linspace(a, b, _LAMPERTI_NODES)
     sig = np.asarray(spec.sigma_X(x), float)
     if np.any(sig <= 0):
         raise InputError("sigma_X must be positive on the configured interval")
     dy_dx = np.sqrt(2.0 * spec.kappa) / sig
     yx = integrate.cumulative_simpson(dy_dx, x=x, initial=0.0)
-    yx -= yx[n // 2]
+    yx -= yx[_LAMPERTI_NODES // 2]
     x_of_y = PchipInterpolator(yx, x, extrapolate=False)
 
-    if spec.sigma_X_prime is not None:
-        sig_prime = spec.sigma_X_prime
-    else:
-        def sig_prime(t, _h=1e-6 * max(1.0, abs(b - a))):
-            return (spec.sigma_X(t + _h) - spec.sigma_X(t - _h)) / (2 * _h)
+    def sig_prime(t, _h=1e-6 * max(1.0, abs(b - a))):
+        return (spec.sigma_X(t + _h) - spec.sigma_X(t - _h)) / (2 * _h)
 
     def drift_y(t):
         xx = np.asarray(spec.mu_X(t), float) / np.asarray(spec.sigma_X(t), float)
@@ -520,7 +513,15 @@ def lamperti(spec: SdeSpec, n=2001) -> ForceField:
 # regularity classification
 # ----------------------------------------------------------------------
 
-def _trend_to_infinity(vals, growth=1.1):
+# |y| at which classify samples the drift
+_CLASSIFY_POINTS = (20.0, 40.0, 80.0)
+# last-step ratio that counts as growing without bound, and the magnitude
+# below which a sequence counts as tending to zero
+_TREND_GROWTH = 1.1
+_TREND_ZERO_TOL = 0.05
+
+
+def _trend_to_infinity(vals):
     """True/False/None for  'sequence increases without bound'."""
     v = np.asarray(vals, float)
     if np.any(~np.isfinite(v)):
@@ -528,29 +529,28 @@ def _trend_to_infinity(vals, growth=1.1):
     if not np.all(np.diff(v) > 0):
         return False
     ratio = v[-1] / max(v[-2], 1e-300)
-    if ratio >= growth and v[-1] > 1.0:
+    if ratio >= _TREND_GROWTH and v[-1] > 1.0:
         return True
     if ratio < 1.02:                  # flatlined: converging to a finite limit
         return False
     return None
 
 
-def _trend_to_zero(vals, tol=0.05):
+def _trend_to_zero(vals):
     v = np.abs(np.asarray(vals, float))
-    if np.all(np.diff(v) < 0) and v[-1] < tol:
+    if np.all(np.diff(v) < 0) and v[-1] < _TREND_ZERO_TOL:
         return True
-    if v[-1] > v[0] and v[-1] > tol:
+    if v[-1] > v[0] and v[-1] > _TREND_ZERO_TOL:
         return False
-    return True if v[-1] < tol else None
+    return True if v[-1] < _TREND_ZERO_TOL else None
 
 
-def classify(ff: ForceField, im: InvariantMeasure,
-             sample_points=(20.0, 40.0, 80.0)) -> ClassificationFlags:
-    """Sample -y*A(y), A'/A and A'/A^2 at large |y| and report the class
-    flags.  Purely heuristic (monotone trends at three sample points);
-    downstream algorithms only warn when a flag is False or None.
+def classify(ff: ForceField) -> ClassificationFlags:
+    """Sample -y*A(y), A'/A and A'/A^2 at |y| = 20, 40, 80 and report the
+    class flags.  Purely heuristic (monotone trends at three sample
+    points); downstream algorithms only warn when a flag is False or None.
     """
-    pts = np.asarray(sample_points, float)
+    pts = np.asarray(_CLASSIFY_POINTS)
 
     # S_minus:  -y A(y) -> +infinity as y -> -infinity
     s_minus = _trend_to_infinity(pts * np.asarray(ff.A(-pts), float))

@@ -114,7 +114,7 @@ def h1(ff: ForceField, im: InvariantMeasure, y):
     Evaluated from the measure's log forms so the far-left tail (where
     both Psi and psi underflow) stays usable.
     """
-    flags = classify(ff, im)
+    flags = classify(ff)
     if flags.completely_absorbing is False:
         warnings.warn("problem does not look completely absorbing; "
                       "h_1 = Psi/psi assumes it is")
@@ -153,14 +153,12 @@ def _log_trapezium_increment(logS0, logS1, step):
                     exp_rule)
 
 
-def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid = None,
-                r_max: int = 4) -> HTable:
+def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid,
+                r_max: int) -> HTable:
     """Run the seeded march for r = 2..r_max over the grid."""
     if r_max < 2:
         raise InputError("r_max must be >= 2")
-    if grid is None:
-        grid = HGrid()
-    flags = classify(ff, im)
+    flags = classify(ff)
     if flags.S_minus is False:
         warnings.warn(f"field {ff.label!r}: -y*A(y) does not blow up at "
                       "-inf; the left-edge seeds may be inaccurate")

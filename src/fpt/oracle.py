@@ -195,9 +195,13 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 # trinomial tree
 # ----------------------------------------------------------------------
 
-def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
-               span=14.0) -> TreeResult:
-    """Forward induction on a trinomial lattice.
+# depth of the trinomial lattice below the barrier
+_TREE_SPAN = 14.0
+
+
+def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
+               tau_max=20.0) -> TreeResult:
+    """Forward induction on a trinomial lattice, 14 deep below y_plus.
 
     Spacing dy = sqrt(6 dtau) matches the variance 2 dtau with middle
     probability 2/3; dtau is nudged so the start sits exactly on a node.
@@ -209,14 +213,14 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
     y_plus, y0 = float(y_plus), float(y0)
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
-    if not (dtau > 0 and tau_max > 0 and span > 0):
-        raise InputError("dtau, tau_max and span must be positive")
+    if not (dtau > 0 and tau_max > 0):
+        raise InputError("dtau and tau_max must be positive")
     dy0 = np.sqrt(6.0 * dtau)
     n0 = max(1, int(round((y_plus - y0) / dy0)))
     dy = (y_plus - y0) / n0
     dtau = dy * dy / 6.0
 
-    K = int(np.ceil(span / dy))
+    K = int(np.ceil(_TREE_SPAN / dy))
     nodes = y_plus - dy * np.arange(K + 1)     # k = 0 is the boundary layer
     A = np.asarray(ff.A(nodes), float)
     shift = A * dtau / (2.0 * dy)
@@ -224,8 +228,8 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3, tau_max=20.0,
         worst = nodes[int(np.argmax(np.abs(shift)))]
         raise InputError(
             f"branch probability out of range at y = {worst:.3g}; "
-            f"use dtau below {(dy / (3 * np.max(np.abs(A)))) ** 1:.2e} "
-            "(or shrink the lattice span)")
+            f"use dtau below {dy / (3 * np.max(np.abs(A))):.2e} (the "
+            f"lattice reaches {_TREE_SPAN:g} below the barrier)")
     pu = 1.0 / 6.0 + shift
     pd = 1.0 / 6.0 - shift
 

@@ -83,8 +83,6 @@ def test_cumulants_positive_other_models(name, params):
 def test_rejects_reversed_interval(ou_table6):
     with pytest.raises(InputError):
         cumulants(ou_table6, 2.0, 1.0)
-    with pytest.raises(InputError):
-        cumulants(ou_table6, 0.0, 1.0, r_max=99)
 
 
 def test_dimensional_conversion(ou_table6):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import fpt
 from fpt.decay import tanh_eigenvalues
@@ -221,6 +222,35 @@ def test_exact_tanh_polynomial_zero():
     assert fpt.lambda_exact("tanh", 0.0, alpha=2.0, gamma=1.0) == pytest.approx(1.0)
     with pytest.raises(NumericsError):
         fpt.lambda_exact("tanh", 0.5, alpha=2.0, gamma=1.0)
+
+
+def _dirichlet_rate(ff, y_plus, span, dy=1 / 100):
+    """Principal decay rate of the finite-difference generator A d/dy +
+    d^2/dy^2 on [y_plus - span, y_plus], absorbing at both ends.  Its
+    off-diagonal products are positive, so it is similar to a symmetric
+    tridiagonal matrix, whose lowest eigenvalue (of minus it) is the rate."""
+    y = y_plus - span + dy * np.arange(1, int(round(span / dy)))
+    a = np.asarray(ff.A(y), float) / (2 * dy)
+    up, down = 1 / dy**2 + a[:-1], 1 / dy**2 - a[1:]
+    return float(eigh_tridiagonal(np.full(y.size, 2 / dy**2), -np.sqrt(up * down),
+                                  select="i", select_range=(0, 0),
+                                  eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0])
+def test_exact_tanh_rate_against_finite_differences(alpha):
+    """At y_plus = 0 the tanh rate is the n=1 level gamma*(alpha-gamma) for
+    alpha > 2 gamma and the branch point alpha^2/4 below.  Truncating the
+    half-line raises the rate, by about (pi/span)^2 at the branch point
+    and exponentially little for a bound level, so doubling the span from
+    24 to 48 must at least halve the gap to the exact rate, or leave it at
+    the 1e-4 floor of the dy^2 error."""
+    ff, _ = fpt.builtin("tanh", alpha=alpha, gamma=1.0)
+    exact = fpt.lambda_exact("tanh", 0.0, alpha=alpha, gamma=1.0)
+    gap24, gap48 = (_dirichlet_rate(ff, 0.0, span) - exact for span in (24, 48))
+    floor = 1e-4 * exact
+    assert gap24 > -floor and gap48 > -floor
+    assert gap48 <= max(0.5 * gap24, floor)
 
 
 @pytest.mark.parametrize("params", [

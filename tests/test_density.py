@@ -84,6 +84,28 @@ def test_theta_of_expression_field_matches_mpmath():
     assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+def test_theta_reads_no_mass_outside_a_quadrature_measure():
+    """A quadrature measure is 0 outside its domain, so theta over (-40, 40)
+    sees only the measure.  -y - |y - 0.77| is -0.77 left of 0.77: on
+    [-30, 30] psi piles up at -30, and theta is about 0.77^2 (the end node
+    read out to -40 gave 5.158)."""
+    import mpmath as mp
+    ff, im = fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)",
+                             "domain": [-30, 30]})
+    assert im.log_psi(-30.5) == -np.inf
+    assert im.psi(np.array([-35.0, 31.0])).tolist() == [0.0, 0.0]
+    with mp.workdps(30):
+        c = mp.mpf("0.77")
+        left = lambda y: mp.exp(-c * y)                    # y <= 0.77
+        right = lambda y: mp.exp(-y * y + c * y - c * c)   # y >= 0.77
+        mass = mp.quad(left, [-30, c]) + mp.quad(right, [c, 30])
+        a2 = c * c * mp.quad(left, [-30, c]) + mp.quad(
+            lambda y: (2 * y - c) ** 2 * right(y), [c, 30])
+        exact = float(a2 / mass)
+    with pytest.warns(UserWarning, match="disagree"):
+        assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_theta_of_kinked_expression_field_warns():
     # A' of -sign(y) is 0 under the jump convention, so <-A'> = 0 != <A^2>
     ff, im = fpt.load_field({"type": "expr", "A": "-sign(y)", "domain": [-40, 40]})

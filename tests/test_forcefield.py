@@ -200,20 +200,20 @@ def test_lamperti_rejects_vanishing_sigma():
 # ----------------------------------------------------------------------
 
 def test_classify_ou(ou):
-    flags = fpt.classify(*ou)
+    flags = fpt.classify(ou[0])
     assert flags.S_minus is True
     assert flags.S_plus_star is True
     assert flags.completely_absorbing is True
 
 
 def test_classify_dry_friction(dry_friction):
-    flags = fpt.classify(*dry_friction)
+    flags = fpt.classify(dry_friction[0])
     assert flags.S_minus is True
     assert flags.completely_absorbing is True
 
 
 def test_classify_abm(abm):
-    flags = fpt.classify(*abm)
+    flags = fpt.classify(abm[0])
     assert flags.S_minus is True
     assert flags.S_plus_star is False
 
@@ -223,8 +223,7 @@ def test_classify_slow_field_not_in_S():
     A = lambda y: -np.asarray(y, float) / (1 + np.asarray(y, float) ** 2)
     Ap = lambda y: (np.asarray(y, float) ** 2 - 1) / (1 + np.asarray(y, float) ** 2) ** 2
     ff = fpt.ForceField(A, Ap, label="slow")
-    im = fpt.measure_from_drift(A, domain=(-100.0, 100.0), n=2001)
-    flags = fpt.classify(ff, im)
+    flags = fpt.classify(ff)
     assert flags.S_minus is False
 
 
@@ -247,7 +246,7 @@ def test_load_table_field(tmp_path):
     q = np.array([-2.3, 0.4, 1.9])
     assert ff.A(q) == pytest.approx(-q, abs=1e-9)
     assert im.Psi(0.0) == pytest.approx(0.5, abs=1e-7)
-    flags = fpt.classify(ff, im)
+    flags = fpt.classify(ff)
     assert flags.completely_absorbing is True
 
 

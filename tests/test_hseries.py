@@ -376,8 +376,6 @@ def test_integrate_h_matches_fixed_rule(request, field):
 def test_h1_reports_underflowing_measure(ou):
     ff, _ = ou
     bad = fpt.InvariantMeasure(
-        psi=lambda y: np.zeros_like(np.asarray(y, float)),
-        Psi=lambda y: np.zeros_like(np.asarray(y, float)),
         log_psi=lambda y: np.full_like(np.asarray(y, float), -np.inf),
         log_Psi=lambda y: np.full_like(np.asarray(y, float), -np.inf))
     with pytest.raises(fpt.NumericsError):

@@ -137,7 +137,7 @@ def test_mc_rejects_bad_inputs(ou, kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [dict(dtau=-1e-3), dict(dtau=0.0),
-                                    dict(tau_max=0.0), dict(span=-1.0)])
+                                    dict(tau_max=0.0)])
 def test_tree_rejects_bad_inputs(ou, kwargs):
     args = dict(dtau=1e-3, tau_max=1.0) | kwargs
     with pytest.raises(InputError):
