@@ -192,7 +192,7 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
 
     ou           minus the rightmost zero in s of pcf(s, y_plus)
                  (`oupcf.rightmost_zero`), for y_plus in about
-                 [-14.8, 37.7]; NumericsError outside,
+                 [-14.367, 37.7]; NumericsError outside,
     abm          mu^2/4 for any boundary,
     dry_friction mu^2/4 up to y_plus = 1/mu, beyond it the pole of the
                  Laplace transform in closed form via Lambert W, up to

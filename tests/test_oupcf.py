@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import fpt
@@ -16,7 +17,9 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def _mp_rate(y_plus):
     """OU rate from a 40-digit mpmath root of nu -> D_nu(-y_plus), bracketed
-    by the first integer order where D changes sign."""
+    by the first integer order where D changes sign.  D is divided by its
+    value at the order below, so findroot's residual check does not depend
+    on the size of D (about 1e39 at y_plus = -14.3)."""
     import mpmath as mp
     with mp.workdps(40):
         y = mp.mpf(y_plus)
@@ -24,7 +27,9 @@ def _mp_rate(y_plus):
         m = 1
         while f(m) > 0:
             m += 1
-        return float(mp.findroot(f, (m - 1, m), solver="anderson"))
+        scale = f(m - 1)
+        return float(mp.findroot(lambda nu: f(nu) / scale, (m - 1, m),
+                                 solver="anderson"))
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +201,9 @@ def test_hermite_leftmost_zeros():
 def test_rightmost_zero_inverts_hermite_zeros(n):
     zeta = fpt.hermite_leftmost_zero(n)
     assert fpt.rightmost_zero(zeta) == pytest.approx(float(n), abs=1e-8)
-    # either side of the zero the bracket moves by one integer
-    for y in (zeta - 1e-10, zeta + 1e-10):
+    # either side of the zero the bracket moves by one integer, and near
+    # the integer order scipy's pbdv can have the wrong sign
+    for y in (zeta - 1e-10, zeta - 1e-12, zeta + 1e-12, zeta + 1e-10):
         assert fpt.rightmost_zero(y) == pytest.approx(_mp_rate(y), rel=1e-12)
 
 
@@ -225,3 +231,71 @@ def test_rightmost_zero_monotone_decreasing():
     grid = np.linspace(-1.5, 3.0, 50)
     lams = np.array([fpt.rightmost_zero(y) for y in grid])
     assert np.all(np.diff(lams) < 0.0)
+
+
+def test_rightmost_zero_lower_edge():
+    """The bracket stops at rate M_MAX = 60, where y_plus is the leftmost
+    zero of He_60."""
+    assert fpt.hermite_leftmost_zero(60) == pytest.approx(-14.36715, abs=1e-5)
+    with pytest.raises(NumericsError, match="above 60"):
+        fpt.rightmost_zero(-14.4)
+    assert fpt.rightmost_zero(-14.3) == pytest.approx(_mp_rate(-14.3),
+                                                      rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("y_plus", [5.5, 6.5, 7.5, 8.5, 9.0, 12.0])
+def test_rightmost_zero_where_the_guess_degrades(y_plus):
+    # scipy's pbdv zero is 7e-11 off at 5.5, 14% at 8.5 and unusable from
+    # 9 on; the certified rate keeps full relative precision
+    assert fpt.rightmost_zero(y_plus) == pytest.approx(_mp_rate(y_plus),
+                                                       rel=1e-12, abs=0)
+
+
+# a uniform grid over the rate's range and four far-right barriers, the
+# last just above the underflow onset
+_SWEEP = ([float(y) for y in np.linspace(-14.3, 9.0, 120)]
+          + [12.0, 20.0, 30.0, 37.7])
+
+
+def _brentq_rate(y_plus):
+    """The rate by brentq on pcf over the integer Hermite bracket alone."""
+    from fpt import oupcf
+    herm = oupcf._hermite_pcf(oupcf.M_MAX, y_plus)
+    m = next(k for k in range(1, oupcf.M_MAX + 1) if herm[k] <= 0.0)
+    return -brentq(fpt.pcf, -float(m), 1.0 - m, args=(y_plus,),
+                   xtol=5e-324, rtol=8 * np.finfo(float).eps)
+
+
+def test_rightmost_zero_mpmath_budget(monkeypatch):
+    """Two mpmath values certify a pbdv guess: 2 per rate up to y_plus = 2,
+    at most 6 on (2, 5] and 9 beyond, where brentq on the integer bracket
+    alone takes 4-10.  Every rate agrees with that brentq to 2e-15."""
+    from fpt import oupcf
+    reference = [_brentq_rate(y) for y in _SWEEP]
+    real, calls = oupcf.pcf, []
+
+    def counting(s, y):
+        if not (s <= 0 and float(s).is_integer()):   # Hermite orders are free
+            calls.append(s)
+        return real(s, y)
+
+    monkeypatch.setattr(oupcf, "pcf", counting)
+    for y, ref in zip(_SWEEP, reference):
+        calls.clear()
+        assert oupcf.rightmost_zero(y) == pytest.approx(ref, rel=2e-15, abs=0), y
+        budget = 2 if y <= 2.0 else 6 if y <= 5.0 else 9
+        assert len(calls) <= budget, (y, calls)
+
+
+def test_rightmost_zero_threads_give_serial_values():
+    barriers = _SWEEP[:120:5]
+    serial = [fpt.rightmost_zero(y) for y in barriers]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(fpt.rightmost_zero, barriers * 2,
+                                     timeout=300))
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == serial * 2
