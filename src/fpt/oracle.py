@@ -8,7 +8,11 @@ analytic modules:
               recorded at every step at the requested starting points
               only.  The density is read off the spatial operator
               f = A F_y + F_yy (smooth; no O(dtau) differencing noise near
-              tau = 0).
+              tau = 0).  It steps the symmetrized operator D L D^-1,
+              factored once by dpttrf, as G <- 2 K^-1 (G + b) - G: one
+              dpttrs solve per step.  Its domain (finite A, cell Peclet
+              number below 1, scaling within e^460) is checked up front
+              and InputError names the knob to turn (dy or y_min).
   solve_tree  explicit trinomial lattice, forward induction with an
               absorbing top layer.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
@@ -85,6 +89,12 @@ class McResult:
 # finite differences
 # ----------------------------------------------------------------------
 
+# The symmetric form keeps every node's scale D inside [e^-460, 1], far
+# above the smallest normal double (e^-708), so G = D F neither underflows
+# nor loses its relative precision.
+_MAX_LOG_SCALE = 460.0
+
+
 def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
               tau_max=20.0, probe_y=()) -> SolutionGrid:
     """Crank-Nicolson with Rannacher start-up, read at the probes.
@@ -100,10 +110,29 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     (default y_plus - 12, where the hitting probability is negligible for
     every built-in field).
 
-    Both schemes solve with the tridiagonal matrix I - (dtau/2) L, which
-    LAPACK factors once (dgttrf); each step is one in-place dgttrs solve
-    on a right-hand side built in a preallocated buffer.  Every step
-    checks that F stays in [0, 1] and raises NumericsError if it leaves.
+    The interior operator L = A d/dy + d2/dy2 has sub-diagonal
+    l_i = 1/h^2 - A_i/(2h) and super-diagonal u_i = 1/h^2 + A_i/(2h).  The
+    diagonal scaling D with D_{i+1}/D_i = sqrt(u_i / l_{i+1}), normalized
+    to max D = 1, makes S = D L D^-1 symmetric with off-diagonal
+    sqrt(u_i l_{i+1}), so K = I - (dtau/2) S is symmetric positive
+    definite.  LAPACK factors K once (dpttrf) and the solver carries
+    G = D F.  With I + (dtau/2) S = 2I - K, a CN step is
+    G <- 2 K^-1 (G + b) - G and a backward-Euler half step is
+    G <- K^-1 (G + b): one in-place dpttrs solve each, where b is zero
+    except on the last row, which carries the boundary value F = 1 as
+    D_{M-1} (dtau/2) u_{M-1}.  Every step forms F = G / D, checks that it
+    stays in [0, 1] and raises NumericsError if it leaves (or is NaN).
+
+    The scaling is defined only where it is real and representable, and
+    outside that domain InputError is raised:
+      - A(y) must be finite at every grid node;
+      - the cell Peclet number |A| h / 2 must stay below 1 at every
+        interior node (l_i, u_i > 0): refine dy;
+      - log(max D / min D), the range of the integral of A/2 and so at
+        most the integral of |A|/2 over [y_min, y_plus], must not exceed
+        460: move y_min closer to y_plus.
+    Built-in fields on the CLI grids sit far inside both bounds: OU with
+    y_min = -23 has a log-range of about 132.
     """
     y_plus = float(y_plus)
     if y_min is None:
@@ -118,25 +147,41 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
     h = (y_plus - y_min) / M
     Ay = np.asarray(ff.A(y), float)
+    bad = ~np.isfinite(Ay)
+    if bad.any():
+        raise InputError(f"drift A(y) is not finite at y = "
+                         f"{y[bad.argmax()]:.6g}")
 
     # interior operator  L F = A F_y + F_yy  (rows i = 1..M-1)
+    peclet = np.abs(Ay[1:M]) * h / 2
+    if peclet.max() >= 1.0:
+        k = peclet.argmax()
+        raise InputError(
+            f"cell Peclet number |A| dy/2 = {peclet[k]:.3g} >= 1 at "
+            f"y = {y[k + 1]:.6g}; refine dy below {2 / abs(Ay[k + 1]):.3g}")
     lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    diag = -2.0 / h**2
     upper = Ay[1:M] / (2 * h) + 1.0 / h**2
+    log_d = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
+    log_d -= log_d.max()
+    if log_d.min() < -_MAX_LOG_SCALE:
+        k = log_d.argmin()
+        raise InputError(
+            f"the symmetric scaling spans e^{-log_d[k]:.0f} (limit "
+            f"e^{_MAX_LOG_SCALE:.0f}), smallest at y = {y[k + 1]:.6g}; "
+            f"move y_min = {y_min:g} closer to y_plus")
+    d_inv = np.exp(-log_d)
     half = 0.5 * dtau
 
     # one factorization serves both schemes: CN with step dtau and
-    # backward Euler with step dtau/2 share the matrix I - (dtau/2) L
-    *lu, info = lapack.dgttrf(-half * lower[1:],
-                              np.full(M - 1, 1.0 - half * diag),
-                              -half * upper[:-1])
+    # backward Euler with step dtau/2 share the matrix K
+    k_diag, k_off, info = lapack.dpttrf(
+        np.full(M - 1, 1.0 + half * 2.0 / h**2),
+        -half * np.sqrt(upper[:-1] * lower[1:]))
     if info != 0:
-        raise NumericsError(f"PDE step matrix is singular (dgttrf info {info})")
-    # explicit half of CN, (I + (dtau/2) L) F, reads F(., y_min) = 0 and
-    # F(., y_plus) = 1 from the full profile; the implicit half's
-    # boundary value enters the last row as `bc`
-    c_mid, c_lo, c_up = 1.0 + half * diag, half * lower, half * upper
-    bc = half * upper[-1]
+        raise NumericsError(f"PDE step matrix is not positive definite "
+                            f"(dpttrf info {info})")
+    b = np.exp(log_d[-1]) * half * upper[-1]
 
     probe_idx = []
     for yp in probe_y:
@@ -153,35 +198,32 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     n_steps = int(round(tau_max / dtau))
     reads = np.zeros((n_steps + 1, stencil.size))
 
-    # two full profiles swap roles each solve: the right-hand side is
-    # built in the interior of `nxt` and solved there in place
-    cur = np.zeros(M + 1)
-    cur[-1] = 1.0
-    nxt = cur.copy()
-    tmp = np.empty(M - 1)
+    # G lives on the interior nodes; two buffers swap roles each solve,
+    # the right-hand side is built in `nxt` and solved there in place.
+    # `profile` is F on the full grid, with F(y_min) = 0 and F(y_plus) = 1.
+    cur = np.zeros(M - 1)
+    nxt = np.empty(M - 1)
+    profile = np.zeros(M + 1)
+    profile[-1] = 1.0
+    F = profile[1:M]
     for step in range(1, n_steps + 1):
         startup = step <= 2           # two BE half steps per nominal step
         for _ in range(2 if startup else 1):
-            rhs = nxt[1:M]
-            if startup:
-                rhs[:] = cur[1:M]
-            else:
-                np.multiply(cur[1:M], c_mid, out=rhs)
-                np.multiply(c_lo, cur[:-2], out=tmp)
-                rhs += tmp
-                np.multiply(c_up, cur[2:], out=tmp)
-                rhs += tmp
-            rhs[-1] += bc
-            lapack.dgttrs(*lu, rhs, overwrite_b=1)
+            nxt[:] = cur
+            nxt[-1] += b
+            lapack.dpttrs(k_diag, k_off, nxt, overwrite_b=1)
+            if not startup:
+                nxt *= 2.0
+                nxt -= cur
             cur, nxt = nxt, cur
-        F = cur[1:M]
+        np.multiply(cur, d_inv, out=F)
         lo, hi = F.min(), F.max()
-        if lo < -1e-6 or hi > 1.0 + 1e-6:
+        if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):
             raise NumericsError(
                 f"PDE solution left [0,1] at step {step} "
                 f"(range [{lo:.3e}, {hi:.3e}]); refine dtau")
 
-        np.take(cur, stencil, out=reads[step])
+        np.take(profile, stencil, out=reads[step])
 
     Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
     Ai = Ay[probe_idx][:, None]

@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy import special
 
 import fpt
-from fpt.errors import InputError
+from fpt.errors import InputError, NumericsError
 
 
 def _invgauss(tau, b, mu):
@@ -88,6 +90,91 @@ def test_pde_rejects_bad_grid(ou):
         fpt.solve_pde(ou[0], 1.0, probe_y=(1.0,))   # boundary is not interior
     with pytest.raises(InputError, match="probe_y"):
         fpt.solve_pde(ou[0], 1.0)                  # probes are required
+
+
+def _constant_field(a):
+    return fpt.ForceField(lambda y: np.full_like(np.asarray(y, float), a),
+                          lambda y: np.zeros_like(np.asarray(y, float)),
+                          label=f"constant {a:g}")
+
+
+def test_pde_rejects_nonfinite_drift():
+    ff = fpt.ForceField(lambda y: np.where(y < -5.0, np.nan, -y),
+                        lambda y: np.full_like(y, -1.0), label="nan tail")
+    with pytest.raises(InputError, match="not finite"):
+        fpt.solve_pde(ff, 1.0, probe_y=(0.0,), tau_max=0.1)
+
+
+def test_pde_range_check_fails_on_nan(ou, monkeypatch):
+    """A NaN in the solution fails the per-step [0, 1] check."""
+    oracle = importlib.import_module("fpt.oracle")
+    real = oracle.lapack.dpttrs
+
+    def poisoned(d, e, b, overwrite_b):
+        real(d, e, b, overwrite_b=overwrite_b)
+        b[len(b) // 2] = np.nan
+
+    monkeypatch.setattr(oracle.lapack, "dpttrs", poisoned)
+    with pytest.raises(NumericsError, match=r"left \[0,1\] at step 1"):
+        fpt.solve_pde(ou[0], 1.0, probe_y=(0.0,), tau_max=0.1)
+
+
+def test_pde_rejects_cell_peclet_above_one():
+    # |A| dy / 2 = 1.25: the scaling is not real, and the fix is a finer dy
+    with pytest.raises(InputError, match="refine dy"):
+        fpt.solve_pde(_constant_field(500.0), 1.0, dy=1 / 200,
+                      probe_y=(0.0,), tau_max=0.1)
+
+
+def test_pde_rejects_scaling_beyond_double_range():
+    # a constant drift of 100 over span 12 needs D over about e^612
+    with pytest.raises(InputError, match="y_min"):
+        fpt.solve_pde(_constant_field(100.0), 1.0, dy=1 / 200,
+                      probe_y=(0.0,), tau_max=0.1)
+    # a span of 6 (e^306) is inside the bound; at drift 100 every path
+    # started 1 below the barrier hits it within about 0.01
+    g = fpt.solve_pde(_constant_field(100.0), 1.0, y_min=-5.0, dy=1 / 200,
+                      dtau=1e-4, probe_y=(0.0,), tau_max=0.1)
+    assert 0.999 < g.probe_F[0, -1] <= 1.0 + 1e-6
+
+
+def _dense_cn(ff, y_plus, y0, dy, dtau, n_steps):
+    """Non-symmetric Crank-Nicolson with the same Rannacher start-up,
+    stepped through dense numpy.linalg.solve: F and f at y0."""
+    M = int(round(12.0 / dy))
+    y = y_plus - 12.0 + 12.0 * np.arange(M + 1) / M
+    h = 12.0 / M
+    A = ff.A(y[1:M])
+    L = (np.diag(np.full(M - 1, -2.0 / h**2))
+         + np.diag(1.0 / h**2 - A[1:] / (2 * h), -1)
+         + np.diag(1.0 / h**2 + A[:-1] / (2 * h), 1))
+    bc = np.zeros(M - 1)
+    bc[-1] = (1.0 / h**2 + A[-1] / (2 * h)) * dtau / 2
+    eye = np.eye(M - 1)
+    implicit = eye - dtau / 2 * L
+    be = np.linalg.solve(implicit, np.column_stack([eye, bc]))
+    cn = np.linalg.solve(implicit, np.column_stack([eye + dtau / 2 * L, 2 * bc]))
+    F = np.zeros(M - 1)
+    i = int(round((y0 - y[0]) / h)) - 1
+    out = [F[i - 1:i + 2]]
+    for step in range(1, n_steps + 1):
+        for P in ((be, be) if step <= 2 else (cn,)):
+            F = P[:, :-1] @ F + P[:, -1]
+        out.append(F[i - 1:i + 2])
+    Fm, F0, Fp = np.array(out).T
+    Ai = ff.A(np.array([y[i + 1]]))[0]
+    return F0, Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
+
+
+@pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
+def test_pde_matches_dense_nonsymmetric_cn(field, request):
+    ff, _ = request.getfixturevalue(field)
+    dy, dtau, n_steps = 1 / 50, 5e-3, 400
+    g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=n_steps * dtau,
+                      probe_y=(-1.0,))
+    F_ref, f_ref = _dense_cn(ff, 1.0, -1.0, dy, dtau, n_steps)
+    assert np.max(np.abs(g.probe_F[0] - F_ref)) < 1e-12
+    assert np.max(np.abs(g.probe_f[0] - f_ref)) < 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_rightmost_zero_fails_fast_past_underflow(monkeypatch):
     assert len(calls) <= 5
     # rates just below the onset of underflow are still returned
     assert oupcf.rightmost_zero(37.7) == pytest.approx(3.5297440997728714e-308,
-                                                      rel=1e-14)
+                                                      rel=1e-14, abs=0)
 
 
 def test_rejects_nonfinite():
@@ -224,7 +224,8 @@ def test_rightmost_zero_golden_table():
     # the 2e-2 above cannot tell 3.99208 from 4 at -2.33; deep in the right
     # tail the rate is 6.26e-11 at 7 and 3.98e-14 at 8
     for yp in (-2.33, 7.0, 8.0):
-        assert fpt.rightmost_zero(yp) == pytest.approx(_mp_rate(yp), rel=1e-12)
+        assert fpt.rightmost_zero(yp) == pytest.approx(_mp_rate(yp), rel=1e-12,
+                                                       abs=0)
 
 
 def test_rightmost_zero_monotone_decreasing():
