@@ -9,18 +9,14 @@ PDE / lattice / Monte Carlo oracles for validation.
 __version__ = "0.1.0"
 
 from .errors import FptError, InputError, NumericsError
-from .forcefield import (ForceField, InvariantMeasure, SdeSpec,
-                         ClassificationFlags, builtin, lamperti, classify,
-                         measure_from_drift, load_field)
+from .forcefield import (ForceField, InvariantMeasure, ClassificationFlags,
+                         builtin, classify, measure_from_drift, load_field)
 from .oupcf import pcf, rightmost_zero, hermite_leftmost_zero
-from .hseries import (HGrid, HTable, catalan_numbers, h1, build_table,
-                      integrate_h)
-from .decay import (DecayEstimate, ratio_sequence, aitken_A0, aitken_A1,
-                    estimate_lambda, lambda_asymptotic, lambda_exact,
-                    tanh_eigenvalues)
+from .hseries import HGrid, HTable, catalan_numbers, build_table, integrate_h
+from .decay import (DecayEstimate, ratio_sequence, aitken_A1, estimate_lambda,
+                    lambda_asymptotic, lambda_exact, tanh_eigenvalues)
 from .cumulants import CumulantSet, cumulants, ou_mean_regime, OU_MEAN_REGIMES
 from .density import (DensityModel, theta_fisher, nu_coefficient, build_model,
-                      calibrate_rho, eval_density, log_density, h_ansatz,
-                      solve_h_tilde, HTildeSolution, ou_short_time_remainder)
+                      calibrate_rho, eval_density, log_density)
 from .oracle import (SolutionGrid, TreeResult, McResult, solve_pde, solve_tree,
                      simulate, kolmogorov_distance, l1_distance)

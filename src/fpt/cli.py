@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -99,9 +100,12 @@ def _model_params(args):
 def _parse_sweep(text):
     try:
         a, b, n = text.split(":")
-        return float(a), float(b), int(n)
+        a, b, n = float(a), float(b), int(n)
     except Exception:
         raise InputError(f"sweep must be 'start:stop:count', got {text!r}")
+    if n < 1:
+        raise InputError(f"sweep count must be at least 1, got {n}")
+    return a, b, n
 
 
 def _add_model_args(p):
@@ -115,11 +119,10 @@ def _add_model_args(p):
     p.add_argument("--config", help="JSON custom field spec (overrides --model)")
 
 
-def _exact_or_none(name, y_plus, params):
-    try:
-        return _decay.lambda_exact(name, y_plus, **params)
-    except (NumericsError, InputError):
-        return None
+def _sibling_path(out, suffix):
+    """`out` with its extension replaced by `suffix`: the companion file of
+    an output path ("run/report.json" -> "run/report_curves.csv")."""
+    return os.path.splitext(out)[0] + suffix
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +148,8 @@ def cmd_lambda(args):
     rows = []
     for yp in barriers:
         est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
-        exact = _exact_or_none(name, float(yp), params) if args.exact else None
+        exact = (_decay._exact_or_none(name, float(yp), params)
+                 if args.exact else None)
         rows.append((yp, est.lam, exact,
                      _decay.lambda_asymptotic(im, yp, "far_left"),
                      _decay.lambda_asymptotic(im, yp, "far_right")))
@@ -222,7 +226,7 @@ def cmd_oracle(args):
         rows = [(res.mean, res.mean_standard_error, res.censored_count)]
         _write_csv(args.out, args, ["mean", "mean_se", "censored"], rows)
         if args.out:
-            curve_path = args.out.replace(".csv", "") + "_cdf.csv"
+            curve_path = _sibling_path(args.out, "_cdf.csv")
             _write_csv(curve_path, args, ["tau", "F_empirical"],
                        list(zip(tgrid, emp)))
     else:
@@ -246,7 +250,8 @@ def cmd_fig1(args):
     rows = []
     for yp in np.linspace(a, b, n):
         est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
-        rows.append(("sweep", yp, est.lam, _exact_or_none(name, float(yp), params),
+        rows.append(("sweep", yp, est.lam,
+                     _decay._exact_or_none(name, float(yp), params),
                      _decay.lambda_asymptotic(im, yp, "far_left"),
                      _decay.lambda_asymptotic(im, yp, "far_right")))
     # orthogonal-polynomial zero markers, where the model has them
@@ -312,7 +317,7 @@ def cmd_validate(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        curve_path = args.out.rsplit(".", 1)[0] + "_curves.csv"
+        curve_path = _sibling_path(args.out, "_curves.csv")
         _write_csv(curve_path, args, ["case", "tau", "f_formula", "f_pde"], curves)
     else:
         sys.stdout.write(text + "\n")

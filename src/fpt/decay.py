@@ -7,13 +7,14 @@ hyperbolically-convergent sequences is applied:
     (A1 x)_r = x_r + d_r (d_r + d_{r-1}) / (d_{r-1} - d_r),
 
 which is exact whenever x_r = L + 1/(a + b*r).  The plain Aitken
-delta-squared (A0) is kept for comparison.  On sequences that converge
+delta-squared, (A0 x)_r = x_r + d_r^2/(d_{r-1} - d_r), is exact when the
+differences are geometric instead.  On sequences that converge
 hyperbolically, such as the Catalan ratios of arithmetic Brownian motion,
 A0 undercorrects and A1 is exact.  For OU below equilibrium at r_max = 4
 the reverse holds: the ratios approach the rate from above, A1 overshoots
 it and A0 lands closer (A0 is 2.94% and A1 8.21% off at y_plus = -1;
-0.93% and 4.54% at y_plus = 0).  `estimate_lambda` keeps A1 because it is
-the paper's method.
+0.93% and 4.54% at y_plus = 0; from y_plus = 2 up both are within 0.15%).
+`estimate_lambda` uses A1 because it is the paper's method.
 
 Exact rates for the worked models (OU via parabolic-cylinder zeros,
 arithmetic Brownian motion, dry friction via a Lambert-W closed form of
@@ -38,7 +39,7 @@ from .errors import InputError, NumericsError
 from .forcefield import ForceField, InvariantMeasure, _tanh_amplitude
 from .hseries import HGrid, HTable, build_table
 
-__all__ = ["DecayEstimate", "ratio_sequence", "aitken_A0", "aitken_A1",
+__all__ = ["DecayEstimate", "ratio_sequence", "aitken_A1",
            "estimate_lambda", "lambda_asymptotic", "lambda_exact",
            "tanh_eigenvalues"]
 
@@ -64,7 +65,13 @@ def ratio_sequence(table: HTable, y_plus):
     return np.exp(logs[:-1] - logs[1:])
 
 
-def _accelerate(x, corrector):
+def aitken_A1(x):
+    """Hyperbolic variant:  x_r + d_r(d_r+d_{r-1})/(d_{r-1}-d_r).
+    Exact when x_r = L + 1/(a + b*r); derived by requiring
+    1/(x_r - L) to be in arithmetic progression.  The paper's accelerator,
+    used by `estimate_lambda`.  On the OU ratios at r_max = 4 below
+    equilibrium it overshoots the rate (8.21% off at y_plus = -1 and 4.54%
+    at 0); from y_plus = 2 up it is within 0.15% of it."""
     x = np.asarray(x, float)
     if len(x) < 3:
         raise InputError("acceleration needs at least 3 sequence terms")
@@ -76,29 +83,9 @@ def _accelerate(x, corrector):
         den = dm - dr
         if abs(den) < STABILITY_FACTOR * abs(x[i + 2]):
             continue
-        vals[i] = x[i + 2] + corrector(dr, dm) / den
+        vals[i] = x[i + 2] + dr * (dr + dm) / den
         ok[i] = True
     return vals, ok
-
-
-def aitken_A0(x):
-    """Classic Aitken delta-squared:  x_r + d_r^2/(d_{r-1}-d_r).
-    Immediate convergence when the differences are geometric.  On the OU
-    ratios at r_max = 4 below equilibrium it is the closer of the two
-    accelerators (2.94% off at y_plus = -1, against 8.21% for A1), but
-    `estimate_lambda` uses A1, the paper's method."""
-    return _accelerate(x, lambda dr, dm: dr * dr)
-
-
-def aitken_A1(x):
-    """Hyperbolic variant:  x_r + d_r(d_r+d_{r-1})/(d_{r-1}-d_r).
-    Exact when x_r = L + 1/(a + b*r); derived by requiring
-    1/(x_r - L) to be in arithmetic progression.  The paper's accelerator,
-    used by `estimate_lambda`.  On the OU ratios at r_max = 4 below
-    equilibrium it overshoots the rate (8.21% off at y_plus = -1 and 4.54%
-    at 0, where A0 is 2.94% and 0.93% off); from y_plus = 2 up both are
-    within 0.15% of it."""
-    return _accelerate(x, lambda dr, dm: dr * (dr + dm))
 
 
 def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus,
@@ -225,3 +212,12 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
         lam, bound = tanh_eigenvalues(amp, gamma, 1)
         return float(lam[0]) if bound[0] else amp * amp / 4.0
     raise InputError(f"unknown model {model!r}")
+
+
+def _exact_or_none(model, y_plus, params):
+    """`lambda_exact(model, y_plus, **params)`, or None where the model has
+    no exact rate at y_plus."""
+    try:
+        return lambda_exact(model, y_plus, **params)
+    except (NumericsError, InputError):
+        return None

@@ -28,7 +28,6 @@ import warnings
 
 import numpy as np
 from scipy import special
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import decay as _decay
@@ -36,10 +35,7 @@ from .errors import InputError, NumericsError
 from .forcefield import ForceField, InvariantMeasure, _integrate_segments
 
 __all__ = ["DensityModel", "theta_fisher", "nu_coefficient", "build_model",
-           "calibrate_rho", "eval_density", "log_density", "h_ansatz",
-           "solve_h_tilde", "HTildeSolution", "ou_short_time_remainder"]
-
-SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
+           "calibrate_rho", "eval_density", "log_density"]
 
 
 # ----------------------------------------------------------------------
@@ -53,8 +49,6 @@ _THETA_PANELS = 32
 # calibrate_rho's initial bracket, its doublings and the accepted residual
 _NORM_N_MID, _NORM_N_TAIL, _NORM_W_SPLIT = 400, 48, 0.05
 _RHO_BRACKET, _RHO_MAX_EXPAND, _RHO_TOL = 20.0, 5, 1e-10
-# solve_h_tilde's Taylor step below y_plus, and the |h~| of a blow-up
-_H_TILDE_EPS, _H_TILDE_BLOWUP = 1e-4, 1e6
 
 
 def theta_fisher(ff: ForceField, im: InvariantMeasure):
@@ -336,13 +330,9 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
             theta = theta_fisher(ff, im) if known is None else float(known)
 
     if lam is None:
-        src = None
+        src = "exact"
         if model_name is not None:
-            try:
-                lam = _decay.lambda_exact(model_name, y_plus, **params)
-                src = "exact"
-            except (NumericsError, InputError):
-                lam = None
+            lam = _decay._exact_or_none(model_name, y_plus, params)
         if lam is None:
             lam = _decay.estimate_lambda(ff, im, y_plus).lam
             src = "ratio-accelerated"
@@ -361,116 +351,3 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
     rho, sens, resid = calibrate_rho(raw)
     return replace(raw, rho=rho, rho_sensitivity=sens,
                    calibration_residual=resid)
-
-
-# ----------------------------------------------------------------------
-# spatial log-derivative diagnostics
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HTildeSolution:
-    """Regular part of the steady-state log-derivative, from integrating
-    the Riccati balance leftward from the boundary."""
-
-    y_plus: float
-    y_reached: float                  # leftmost covered point
-    blew_up: bool
-    h_tilde: object                   # callable on [y_reached, y_plus]
-
-    def __call__(self, y):
-        return self.h_tilde(y)
-
-
-def solve_h_tilde(ff: ForceField, lam, y_plus, y_min) -> HTildeSolution:
-    """Integrate h~' = lam + h~^2 - A h~ + (2 h~ - A)/(y_plus - y)
-    leftward from the boundary.
-
-    The boundary values h~(y_plus) = A(y_plus)/2 and
-    h~'(y_plus) = (lam - A(y_plus)^2/4 + A'(y_plus))/3 regularize the
-    0/0 at y = y_plus; integration starts a Taylor step 1e-4 below it.
-    Riccati blow-up (|h~| reaching 1e6) before y_min is reported on the
-    result, not raised: this solver is a diagnostic, normalization
-    calibration stays authoritative for rho.
-    """
-    y_plus, y_min = float(y_plus), float(y_min)
-    eps = _H_TILDE_EPS
-    if y_min >= y_plus - eps:
-        raise InputError("y_min must sit below y_plus - eps")
-    a_b = float(ff.A(y_plus))
-    ap_b = float(ff.A_prime(y_plus))
-    h0 = 0.5 * a_b
-    h0p = (lam - 0.25 * a_b * a_b + ap_b) / 3.0
-    y_start = y_plus - eps
-    h_start = h0 - eps * h0p
-
-    def rhs(y, state):
-        h = state[0]
-        return [lam + h * h - ff.A(y) * h + (2.0 * h - ff.A(y)) / (y_plus - y)]
-
-    def blew(y, state):
-        return abs(state[0]) - _H_TILDE_BLOWUP
-    blew.terminal = True
-
-    sol = solve_ivp(rhs, (y_start, y_min), [h_start],
-                    method="RK45", dense_output=True, rtol=1e-10, atol=1e-12,
-                    events=blew, max_step=0.1)
-    blew_up = sol.status == 1
-    y_reached = float(sol.t[-1])
-    if blew_up:
-        warnings.warn(f"h~ integration blew up at y = {y_reached:g} "
-                      "(Riccati instability); coverage truncated")
-
-    def h_tilde(y):
-        y = np.asarray(y, float)
-        if np.any(y < y_reached - 1e-12) or np.any(y > y_plus + 1e-12):
-            raise InputError(f"h~ available on [{y_reached:g}, {y_plus:g}] only")
-        near = y > y_start
-        out = np.where(near, h0 + (y - y_plus) * h0p,
-                       sol.sol(np.clip(y, y_reached, y_start))[0])
-        return out if out.ndim else float(out)
-
-    return HTildeSolution(y_plus=y_plus, y_reached=y_reached,
-                          blew_up=blew_up, h_tilde=h_tilde)
-
-
-def h_ansatz(model: DensityModel, tau, y, h_tilde):
-    """Spatial log-derivative -d(ln f)/dy implied by the global formula
-    (residual term omitted):
-
-        theta sqrt(q)(y - y_plus)/(1-q) + sqrt(q) A(y)/(1+sqrt(q))
-        + 1/(y_plus - y) + [(1-sqrt(q))/(1+sqrt(q))] h~(y),
-
-    with h~ the callable `h_tilde`, such as a `solve_h_tilde` result that
-    covers y.
-    """
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise InputError("tau must be positive")
-    y = float(y)
-    if y >= model.y_plus:
-        raise InputError("needs y < y_plus")
-    th = model.theta
-    w = np.exp(-th * tau)
-    one_m_q = -np.expm1(-2.0 * th * tau)
-    return (th * w * (y - model.y_plus) / one_m_q
-            + w * float(model.ff.A(y)) / (1.0 + w)
-            + 1.0 / (model.y_plus - y)
-            + (1.0 - w) / (1.0 + w) * float(h_tilde(y)))
-
-
-def ou_short_time_remainder(y0, y_plus, tau):
-    """Linearized short-time residual of the OU log-derivative:
-
-        R~(tau, y) = (tau y_plus / 4) z Phi(-z)/phi(z) - tau (y_plus - y)/6,
-        z = (y_plus - y) / sqrt(2 tau).
-
-    The Mills ratio Phi(-z)/phi(z) is evaluated through erfcx, so the
-    outer zone z >> 1 (where it tends to 1/z) is exact to rounding.
-    """
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise InputError("tau must be positive")
-    y0, y_plus = float(y0), float(y_plus)
-    z = (y_plus - y0) / np.sqrt(2.0 * tau)
-    mills = SQRT_HALF_PI * special.erfcx(z / np.sqrt(2.0))
-    return 0.25 * tau * y_plus * z * mills - tau * (y_plus - y0) / 6.0

@@ -5,9 +5,14 @@ Everything downstream works with the dimensionless form
     dY = A(Y) dtau + sqrt(2) dW,        tau = kappa * t,
 
 so a model is a pair (ForceField, InvariantMeasure) where the invariant
-density psi satisfies psi'/psi = A.  General SDEs
-dX = mu_X(X) dt + sigma_X(X) dW are brought to this form by the Lamperti
-change of variables dy/dx = sqrt(2 kappa)/sigma_X(x).
+density psi satisfies psi'/psi = A.  A general SDE
+dX = mu_X(X) dt + sigma_X(X) dW is reduced to this form by hand: with
+
+    y(x) = int sqrt(2 kappa)/sigma_X(x) dx,
+    A(y) = sqrt(2/kappa) * (mu_X/sigma_X - sigma_X'/2)   at x = x(y)
+
+(Ito's lemma), A goes in as an "expr" or "table" field and the start and
+barrier are mapped into y with the same y(x).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import warnings
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy import integrate, special
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError, NumericsError
@@ -27,10 +32,8 @@ from .errors import InputError, NumericsError
 __all__ = [
     "ForceField",
     "InvariantMeasure",
-    "SdeSpec",
     "ClassificationFlags",
     "builtin",
-    "lamperti",
     "classify",
     "measure_from_drift",
     "load_field",
@@ -83,20 +86,6 @@ class InvariantMeasure:
 
     def Psi(self, y):
         return np.exp(self.log_Psi(y))
-
-
-@dataclass(frozen=True)
-class SdeSpec:
-    """General SDE dX = mu_X dt + sigma_X dW, to be Lamperti-reduced.
-
-    `x_range` is the interval on which the monotone map x -> y is built and
-    inverted numerically.  sigma_X' is taken by central differences.
-    """
-
-    mu_X: Callable
-    sigma_X: Callable
-    kappa: float = 1.0
-    x_range: tuple = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -460,53 +449,6 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
 
     return InvariantMeasure(log_psi=log_psi,
                             log_Psi=_log_Psi_with_tail(Psi, log_psi, A))
-
-
-# ----------------------------------------------------------------------
-# Lamperti reduction
-# ----------------------------------------------------------------------
-
-# nodes of spec.x_range on which lamperti builds the map x -> y
-_LAMPERTI_NODES = 2001
-
-
-def lamperti(spec: SdeSpec) -> ForceField:
-    """Reduce dX = mu_X dt + sigma_X dW to unit-diffusion form.
-
-    With y(x) = int sqrt(2 kappa)/sigma_X and Ito's lemma,
-
-        A(y) = sqrt(2/kappa) * (mu_X/sigma_X - sigma_X'/2) at x = x(y).
-
-    The monotone map x -> y is built by cumulative quadrature on 2001 nodes
-    of `spec.x_range` and inverted with a monotone interpolant.
-    """
-    a, b = spec.x_range
-    x = np.linspace(a, b, _LAMPERTI_NODES)
-    sig = np.asarray(spec.sigma_X(x), float)
-    if np.any(sig <= 0):
-        raise InputError("sigma_X must be positive on the configured interval")
-    dy_dx = np.sqrt(2.0 * spec.kappa) / sig
-    yx = integrate.cumulative_simpson(dy_dx, x=x, initial=0.0)
-    yx -= yx[_LAMPERTI_NODES // 2]
-    x_of_y = PchipInterpolator(yx, x, extrapolate=False)
-
-    def sig_prime(t, _h=1e-6 * max(1.0, abs(b - a))):
-        return (spec.sigma_X(t + _h) - spec.sigma_X(t - _h)) / (2 * _h)
-
-    def drift_y(t):
-        xx = np.asarray(spec.mu_X(t), float) / np.asarray(spec.sigma_X(t), float)
-        return np.sqrt(2.0 / spec.kappa) * (xx - 0.5 * np.asarray(sig_prime(t), float))
-
-    def A(yv):
-        yv = np.asarray(yv, float)
-        xv = x_of_y(np.clip(yv, yx[0], yx[-1]))
-        return drift_y(xv)
-
-    def A_prime(yv, _h=1e-5):
-        yv = np.asarray(yv, float)
-        return (A(yv + _h) - A(yv - _h)) / (2 * _h)
-
-    return ForceField(A, A_prime, kappa=spec.kappa, label="lamperti")
 
 
 # ----------------------------------------------------------------------

@@ -41,8 +41,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import InputError, NumericsError
 from .forcefield import ForceField, InvariantMeasure, _integrate_segments, classify
 
-__all__ = ["HGrid", "HTable", "catalan_numbers", "h1", "build_table",
-           "integrate_h"]
+__all__ = ["HGrid", "HTable", "catalan_numbers", "build_table", "integrate_h"]
 
 
 def catalan_numbers(n):
@@ -106,24 +105,6 @@ class HTable:
             raise InputError("query point outside the table grid")
         zc = np.clip(z, self.grid.nodes[0], self.grid.nodes[-1])
         return np.exp(self.interpolant(zc)[r - 1])
-
-
-def h1(ff: ForceField, im: InvariantMeasure, y):
-    """First coefficient, Psi(y)/psi(y) for completely absorbing problems.
-
-    Evaluated from the measure's log forms so the far-left tail (where
-    both Psi and psi underflow) stays usable.
-    """
-    flags = classify(ff)
-    if flags.completely_absorbing is False:
-        warnings.warn("problem does not look completely absorbing; "
-                      "h_1 = Psi/psi assumes it is")
-    val = _log_h1(im, y)
-    if np.any(~np.isfinite(val)):
-        raise NumericsError(
-            "psi underflows at the requested point; move the evaluation "
-            "point (or the grid cutoff Z) to the right")
-    return np.exp(val)
 
 
 def _log_h1(im, y):

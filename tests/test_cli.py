@@ -192,6 +192,20 @@ def test_validate_report(tmp_path, capsys):
     assert (tmp_path / "report_curves.csv").exists()
 
 
+def test_validate_curves_sit_beside_an_extensionless_report(tmp_path, monkeypatch,
+                                                            capsys):
+    # "./report" has no extension: the curves go to ./report_curves.csv,
+    # not ./_curves.csv
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, "validate", "--model", "ou", "--barriers", "0",
+                  "--offsets", "1", "--tmax", "8", "--dy", "0.02",
+                  "--out", "./report")
+    assert code == 0
+    assert json.loads((tmp_path / "report").read_text())["cases"]
+    assert (tmp_path / "report_curves.csv").exists()
+    assert not (tmp_path / "_curves.csv").exists()
+
+
 def test_exit_code_bad_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lambda", "--model", "nonsense"])
@@ -205,6 +219,13 @@ def test_exit_code_bad_tanh_parameters(capsys):
                  "--exact"]) == 3
     assert main(["fig1", "--model", "tanh", "--alpha=-1", "--gamma=-1",
                  "--sweep=-1:1:3"]) == 3
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_exit_code_empty_or_negative_sweep(capsys, count):
+    # a sweep of no barriers is bad input, not an empty table or a numpy error
+    assert main(["lambda", "--model", "ou", f"--sweep=0:1:{count}"]) == 3
+    assert "sweep count" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(capsys):

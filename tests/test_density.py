@@ -346,78 +346,31 @@ def test_long_time_log_slope(ou, dry_friction):
         assert slope == pytest.approx(m.lam, rel=1e-2)
 
 
-# ----------------------------------------------------------------------
-# spatial log-derivative diagnostics
-# ----------------------------------------------------------------------
-
-def test_h_tilde_vanishes_for_equilibrium_boundary(ou):
-    sol = fpt.solve_h_tilde(ou[0], 1.0, 0.0, -4.0)
-    ys = np.linspace(-4.0, -0.1, 50)
-    assert np.max(np.abs(sol(ys))) <= 1e-6
-    assert not sol.blew_up
-
-
-def test_h_tilde_boundary_data(ou):
-    ff, _ = ou
-    lam = fpt.rightmost_zero(1.0)
-    sol = fpt.solve_h_tilde(ff, lam, 1.0, -2.0)
-    assert sol(1.0) == pytest.approx(-0.5, abs=1e-12)          # A(1)/2
-    eps = 1e-6
-    fd = (sol(1.0) - sol(1.0 - eps)) / eps
-    assert fd == pytest.approx((lam - 0.25 + (-1.0)) / 3.0, abs=1e-6)
-
-
-def test_h_tilde_against_eigenfunction_route(ou):
-    """Dual-route check: the Riccati integration must reproduce
-    lam * D(1-lam, y)/D(-lam, y) - 1/(y_plus - y) built from the
-    parabolic-cylinder eigenfunction."""
-    ff, _ = ou
-    lam = fpt.rightmost_zero(1.0)
-    sol = fpt.solve_h_tilde(ff, lam, 1.0, -3.0)
-    for y in (-2.0, -1.0, 0.0, 0.5, 0.9):
-        exact = lam * fpt.pcf(1.0 - lam, y) / fpt.pcf(-lam, y) - 1.0 / (1.0 - y)
-        assert sol(y) == pytest.approx(exact, abs=1e-9)
-
-
-def test_h_ansatz_limits(ou):
-    ff, im = ou
-    lam = fpt.rightmost_zero(1.0)
-    sol = fpt.solve_h_tilde(ff, lam, 1.0, -3.0)
-    m = fpt.build_model(ff, im, -1.0, 1.0, model_name="ou")
-
-    # Laurent behaviour at small tau
-    tau, y = 1e-7, -1.0
-    lead = (y - 1.0) / (2 * tau) + float(ff.A(y)) / 2 + 1.0 / (1.0 - y)
-    assert fpt.h_ansatz(m, tau, y, h_tilde=sol) == pytest.approx(lead, abs=1e-4)
-
-    # boundary: (y_plus - y) * h -> 1 for all time
-    for tau in (0.05, 1.0, 20.0):
-        y = 1.0 - 1e-6
-        assert (1.0 - y) * fpt.h_ansatz(m, tau, y, h_tilde=sol) == pytest.approx(
-            1.0, abs=1e-5)
-
-    # late time: the steady profile 1/(y_plus-y) + h~
-    hbar = 1.0 / 2.0 + sol(-1.0)
-    assert fpt.h_ansatz(m, 60.0, -1.0, h_tilde=sol) == pytest.approx(hbar, rel=1e-12)
-
-
 def test_log_density_slope_consistency(ou):
-    """-d(ln f)/dy from the formula equals the ansatz when the rho family
-    rho(y) = int_y^{y+} h~ is used, exactly in the equilibrium-boundary
-    case (h~ = 0, rho = 0)."""
+    """-d(ln f)/dy from the formula equals the spatial log-derivative of
+    the ansatz,
+
+        theta sqrt(q)(y - y_plus)/(1-q) + sqrt(q) A(y)/(1+sqrt(q))
+        + 1/(y_plus - y),
+
+    exactly in the equilibrium-boundary case, where the regular part h~ of
+    the steady log-derivative and rho both vanish."""
     ff, im = ou
-    m = fpt.build_model(ff, im, -1.0, 0.0, model_name="ou")
-    sol = fpt.solve_h_tilde(ff, 1.0, 0.0, -3.0)
+    y, y_plus = -1.0, 0.0
+    m = fpt.build_model(ff, im, y, y_plus, model_name="ou")
     rng = np.random.default_rng(3)
     for tau in rng.uniform(0.05, 5.0, 6):
         dy = 1e-6
-        ma = fpt.DensityModel(ff=ff, im=im, y0=-1.0 - dy, y_plus=0.0,
+        ma = fpt.DensityModel(ff=ff, im=im, y0=y - dy, y_plus=y_plus,
                               theta=m.theta, lam=m.lam, nu=m.nu, rho=0.0)
-        mb = fpt.DensityModel(ff=ff, im=im, y0=-1.0 + dy, y_plus=0.0,
+        mb = fpt.DensityModel(ff=ff, im=im, y0=y + dy, y_plus=y_plus,
                               theta=m.theta, lam=m.lam, nu=m.nu, rho=0.0)
         fd = -(fpt.log_density(mb, tau) - fpt.log_density(ma, tau)) / (2 * dy)
-        assert fd == pytest.approx(fpt.h_ansatz(m, tau, -1.0, h_tilde=sol),
-                                   rel=1e-6)
+        sq = np.exp(-m.theta * tau)
+        one_m_q = -np.expm1(-2.0 * m.theta * tau)
+        ansatz = (m.theta * sq * (y - y_plus) / one_m_q
+                  + sq * float(ff.A(y)) / (1.0 + sq) + 1.0 / (y_plus - y))
+        assert fd == pytest.approx(ansatz, rel=1e-6)
 
 
 def test_rho_factor_is_the_only_rho_dependence(ou):
@@ -432,32 +385,6 @@ def test_rho_factor_is_the_only_rho_dependence(ou):
         d = (fpt.log_density(replace(m, rho=2.5), tau)
              - fpt.log_density(replace(m, rho=1.0), tau))
         assert d == pytest.approx(1.5 * (1 - w) / (1 + w), rel=1e-12)
-
-
-# ----------------------------------------------------------------------
-# short-time remainder (OU linearization)
-# ----------------------------------------------------------------------
-
-def test_remainder_vanishes_at_boundary():
-    assert fpt.ou_short_time_remainder(2.0, 2.0, 0.3) == 0.0
-
-
-def test_remainder_equilibrium_boundary_form():
-    # y_plus = 0: only the polynomial piece survives, R~ = tau*y/6
-    tau, y = 0.2, -1.3
-    assert fpt.ou_short_time_remainder(y, 0.0, tau) == pytest.approx(
-        tau * y / 6.0, rel=1e-10)
-
-
-def test_remainder_outer_zone_mills_limit():
-    # z >> 1: z Phi(-z)/phi(z) -> 1, so R~ -> tau*(y_plus/4 - (y_plus-y)/6)
-    tau = 1e-2
-    y_plus = 1.0
-    y = y_plus - 8.0 * np.sqrt(2 * tau)    # z = 8
-    got = fpt.ou_short_time_remainder(y, y_plus, tau)
-    limit = tau * (y_plus / 4.0 - (y_plus - y) / 6.0)
-    mills_first = 0.25 * tau * y_plus      # the term carrying the Mills ratio
-    assert abs((got - limit) / mills_first) < 0.02
 
 
 def test_eval_density_rejects_nonpositive_tau(ou):

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 from scipy.stats import norm
 
 import fpt
@@ -134,65 +133,6 @@ def test_quadrature_measure_calls_drift_a_fixed_number_of_times():
         im.log_Psi(q)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
-
-
-# ----------------------------------------------------------------------
-# Lamperti reduction
-# ----------------------------------------------------------------------
-
-def test_lamperti_identity_on_unit_diffusion():
-    # sigma_X = sqrt(2 kappa) leaves the drift untouched
-    spec = fpt.SdeSpec(mu_X=lambda x: -np.asarray(x, float),
-                       sigma_X=lambda x: np.full_like(np.asarray(x, float), np.sqrt(2.0)),
-                       kappa=1.0, x_range=(-8.0, 8.0))
-    ff = fpt.lamperti(spec)
-    y = np.linspace(-5, 5, 41)
-    assert ff.A(y) == pytest.approx(-y, abs=1e-7)
-
-
-def test_lamperti_ou_rescaling():
-    # mu_X = -kappa x, sigma_X = sigma: y = x sqrt(2)/sigma recovers A = -y
-    sigma = 0.5
-    spec = fpt.SdeSpec(mu_X=lambda x: -np.asarray(x, float),
-                       sigma_X=lambda x: np.full_like(np.asarray(x, float), sigma),
-                       kappa=1.0, x_range=(-4.0, 4.0))
-    ff = fpt.lamperti(spec)
-    y = np.linspace(-6, 6, 25)
-    assert ff.A(y) == pytest.approx(-y, abs=1e-6)
-
-
-def test_lamperti_constant_drift_stays_constant():
-    mu, sigma = 0.3, 2.0
-    spec = fpt.SdeSpec(mu_X=lambda x: np.full_like(np.asarray(x, float), mu),
-                       sigma_X=lambda x: np.full_like(np.asarray(x, float), sigma),
-                       kappa=1.0, x_range=(-5.0, 5.0))
-    ff = fpt.lamperti(spec)
-    y = np.linspace(-2, 2, 17)
-    expect = np.sqrt(2.0) * mu / sigma
-    assert ff.A(y) == pytest.approx(np.full_like(y, expect), rel=1e-8)
-
-
-def test_lamperti_cir_map_against_quadrature():
-    """CIR-type sigma = s*sqrt(x): y(x) = 2 sqrt(2 kappa x)/s; the map is
-    checked against independent quadrature of sqrt(2 kappa)/sigma_X."""
-    s, kappa = 0.8, 1.0
-    spec = fpt.SdeSpec(mu_X=lambda x: 0.3 - 0.2 * np.asarray(x, float),
-                       sigma_X=lambda x: s * np.sqrt(np.asarray(x, float)),
-                       kappa=kappa, x_range=(0.05, 9.0))
-    ff = fpt.lamperti(spec)  # builds the map internally; recheck it here
-    for x in (0.3, 1.0, 4.0):
-        y_quad, _ = integrate.quad(lambda u: np.sqrt(2 * kappa) / (s * np.sqrt(u)),
-                                   0.05, x)
-        y_closed = 2 * np.sqrt(2 * kappa * x) / s - 2 * np.sqrt(2 * kappa * 0.05) / s
-        assert y_quad == pytest.approx(y_closed, rel=1e-9)
-
-
-def test_lamperti_rejects_vanishing_sigma():
-    spec = fpt.SdeSpec(mu_X=lambda x: 0.0 * np.asarray(x, float),
-                       sigma_X=lambda x: np.asarray(x, float),
-                       x_range=(-1.0, 1.0))
-    with pytest.raises(InputError):
-        fpt.lamperti(spec)
 
 
 # ----------------------------------------------------------------------

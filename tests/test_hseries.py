@@ -32,22 +32,22 @@ def test_grid_rejects_bad_ranges():
 # ----------------------------------------------------------------------
 
 def test_h1_ou_is_mills_ratio(ou, ou_phi_over_phi):
-    ff, im = ou
+    _, im = ou
     for y in (-3.0, 0.0, 1.5):
-        assert fpt.h1(ff, im, y) == pytest.approx(ou_phi_over_phi(y), rel=1e-11)
-    assert fpt.h1(ff, im, 0.0) == pytest.approx(np.sqrt(np.pi / 2), rel=1e-11)
+        assert np.exp(_log_h1(im, y)) == pytest.approx(ou_phi_over_phi(y), rel=1e-11)
+    assert np.exp(_log_h1(im, 0.0)) == pytest.approx(np.sqrt(np.pi / 2), rel=1e-11)
 
 
 def test_h1_abm_is_constant(abm):
-    ff, im = abm
+    _, im = abm
     y = np.array([-6.0, -1.0, 2.0])
-    assert fpt.h1(ff, im, y) == pytest.approx(np.ones(3), rel=1e-12)
+    assert np.exp(_log_h1(im, y)) == pytest.approx(np.ones(3), rel=1e-12)
 
 
 def test_h1_dry_friction_closed_form(dry_friction):
-    ff, im = dry_friction
-    assert fpt.h1(ff, im, -2.0) == pytest.approx(1.0, rel=1e-12)
-    assert fpt.h1(ff, im, 1.0) == pytest.approx(2 * np.e - 1, rel=1e-10)
+    _, im = dry_friction
+    assert np.exp(_log_h1(im, -2.0)) == pytest.approx(1.0, rel=1e-12)
+    assert np.exp(_log_h1(im, 1.0)) == pytest.approx(2 * np.e - 1, rel=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -378,5 +378,5 @@ def test_h1_reports_underflowing_measure(ou):
     bad = fpt.InvariantMeasure(
         log_psi=lambda y: np.full_like(np.asarray(y, float), -np.inf),
         log_Psi=lambda y: np.full_like(np.asarray(y, float), -np.inf))
-    with pytest.raises(fpt.NumericsError):
-        fpt.h1(ff, bad, 0.0)
+    with pytest.raises(fpt.NumericsError, match="h_1 not finite on the grid"):
+        fpt.build_table(ff, bad, fpt.HGrid(), 2)
