@@ -108,6 +108,14 @@ def _parse_sweep(text):
     return a, b, n
 
 
+def _parse_list(text, option):
+    """The comma-separated numbers of `option`, e.g. --barriers=-1,1,2."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option} must be comma-separated numbers, got {text!r}")
+
+
 def _add_model_args(p):
     p.add_argument("--model", default="ou",
                    choices=["ou", "dry_friction", "tanh", "abm"])
@@ -275,8 +283,8 @@ def cmd_fig1(args):
 def cmd_validate(args):
     (ff, im), name = _field_from_args(args)
     params = _model_params(args)
-    barriers = [float(v) for v in args.barriers.split(",")]
-    offsets = [float(v) for v in args.offsets.split(",")]
+    barriers = _parse_list(args.barriers, "--barriers")
+    offsets = _parse_list(args.offsets, "--offsets")
     report = {"tool": f"fpt {__version__}", "model": name, "params": params,
               "cases": []}
     curves = []

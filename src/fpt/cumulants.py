@@ -29,8 +29,6 @@ class CumulantSet:
     """Cumulants k_1..k_r of the dimensionless passage time tau; divide
     k_r by kappa^r for dimensional time."""
 
-    y0: float
-    y_plus: float
     kappa_r: np.ndarray
     time_scale: float = 1.0
     mean_direct: float = None         # cross-check from the closed h_1 form
@@ -64,8 +62,8 @@ def cumulants(table: HTable, y0, y_plus, im=None,
         mean_direct = float(_integrate_segments(
             lambda z, _: np.exp(_log_h1(im, z)), y0, y_plus))
 
-    return CumulantSet(y0=y0, y_plus=y_plus, kappa_r=out,
-                       time_scale=time_scale, mean_direct=mean_direct)
+    return CumulantSet(kappa_r=out, time_scale=time_scale,
+                       mean_direct=mean_direct)
 
 
 # ----------------------------------------------------------------------

@@ -324,7 +324,7 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
     params = dict(model_params or {})
 
     if theta is None:
-        known = getattr(im, "fisher_theta", None)
+        known = im.fisher_theta
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             theta = theta_fisher(ff, im) if known is None else float(known)

@@ -69,9 +69,9 @@ class InvariantMeasure:
 
     `log_psi` and `log_Psi` are the fields because the h-coefficient
     march needs them far in the left tail where the linear values
-    underflow; `psi` and `Psi` exponentiate them.  For non-normalizable
-    fields (ABM) psi is kept unnormalized and `normalizable` is False; Psi
-    is then just the left integral of psi.  `fisher_theta` carries the
+    underflow; only `psi` exponentiates.  For non-normalizable fields
+    (ABM) psi is kept unnormalized and `normalizable` is False; Psi is
+    then just the left integral of psi.  `fisher_theta` carries the
     closed-form Fisher information <A^2> when one is known (built-ins);
     quadrature is used otherwise.
     """
@@ -84,18 +84,14 @@ class InvariantMeasure:
     def psi(self, y):
         return np.exp(self.log_psi(y))
 
-    def Psi(self, y):
-        return np.exp(self.log_Psi(y))
-
 
 @dataclass(frozen=True)
 class ClassificationFlags:
-    """Heuristic regularity flags; None means the sampled trend was
-    inconclusive.  Advisory only: algorithms proceed regardless."""
+    """Heuristic flag S_minus: whether -y*A(y) -> +inf as y -> -inf, from
+    its values at y = -20, -40 and -80 alone; None means the sampled trend
+    was inconclusive.  Advisory only: algorithms proceed regardless."""
 
     S_minus: Optional[bool]
-    S_plus_star: Optional[bool]
-    completely_absorbing: Optional[bool]
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +333,16 @@ def _log_Psi_with_tail(Psi, log_psi, A):
     return log_Psi
 
 
-def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
+# equally spaced nodes of `measure_from_drift` on its domain
+_MEASURE_NODES = 641
+
+
+def measure_from_drift(A, domain=(-40.0, 40.0)):
     """InvariantMeasure of the unit-diffusion drift A, by quadrature.
 
     psi is exp(int A) normalized on `domain` and 0 outside it, and Psi
     its left integral.
-    On the n equally spaced nodes y_j of `domain`:
+    On the n = 641 equally spaced nodes y_j of `domain`:
 
     - log psi(y_j) is the cumulative sum of the panel integrals of A;
       log psi(t) adds the integral of A from the node at or left of t to
@@ -371,6 +371,7 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
       total mass right of it.
     Warns when the total mass differs from 1 by more than 1e-6.
     """
+    n = _MEASURE_NODES
     y = np.linspace(domain[0], domain[1], n)
     A_at = lambda x, _: A(x)
     lp_u = np.concatenate(([0.0], np.cumsum(_integrate_segments(A_at, y[:-1], y[1:]))))
@@ -457,10 +458,8 @@ def measure_from_drift(A, domain=(-40.0, 40.0), n=641):
 
 # |y| at which classify samples the drift
 _CLASSIFY_POINTS = (20.0, 40.0, 80.0)
-# last-step ratio that counts as growing without bound, and the magnitude
-# below which a sequence counts as tending to zero
+# last-step ratio that counts as growing without bound
 _TREND_GROWTH = 1.1
-_TREND_ZERO_TOL = 0.05
 
 
 def _trend_to_infinity(vals):
@@ -478,54 +477,12 @@ def _trend_to_infinity(vals):
     return None
 
 
-def _trend_to_zero(vals):
-    v = np.abs(np.asarray(vals, float))
-    if np.all(np.diff(v) < 0) and v[-1] < _TREND_ZERO_TOL:
-        return True
-    if v[-1] > v[0] and v[-1] > _TREND_ZERO_TOL:
-        return False
-    return True if v[-1] < _TREND_ZERO_TOL else None
-
-
 def classify(ff: ForceField) -> ClassificationFlags:
-    """Sample -y*A(y), A'/A and A'/A^2 at |y| = 20, 40, 80 and report the
-    class flags.  Purely heuristic (monotone trends at three sample
-    points); downstream algorithms only warn when a flag is False or None.
-    """
+    """Sample -y*A(y) at y = -20, -40 and -80 only and report S_minus,
+    whether it grows without bound.  Purely heuristic (a monotone trend at
+    three points); `build_table` warns when the flag is False."""
     pts = np.asarray(_CLASSIFY_POINTS)
-
-    # S_minus:  -y A(y) -> +infinity as y -> -infinity
-    s_minus = _trend_to_infinity(pts * np.asarray(ff.A(-pts), float))
-
-    # S_plus_star:  same blow-up at +infinity plus A'/A -> 0, A'/A^2 -> 0
-    grow = _trend_to_infinity(-pts * np.asarray(ff.A(pts), float))
-    if grow is False:
-        s_plus_star = False
-    else:
-        Ap = np.asarray(ff.A_prime(pts), float)
-        Av = np.asarray(ff.A(pts), float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = _trend_to_zero(np.where(Av != 0, Ap / Av, 0.0))
-            r2 = _trend_to_zero(np.where(Av != 0, Ap / Av**2, 0.0))
-        if grow is True and r1 is True and r2 is True:
-            s_plus_star = True
-        elif r1 is False or r2 is False:
-            s_plus_star = False
-        else:
-            s_plus_star = None
-
-    # completely absorbing: liminf_{y->-inf} A >= 0 and A bounded below
-    left = np.asarray(ff.A(-pts), float)
-    probe = np.linspace(-pts[-1], pts[-1], 321)
-    bounded = np.all(np.isfinite(ff.A(probe)))
-    if np.all(left >= -1e-9) and bounded:
-        absorbing = True
-    elif np.all(left < -1e-9) or not bounded:
-        absorbing = False
-    else:
-        absorbing = None
-
-    return ClassificationFlags(s_minus, s_plus_star, absorbing)
+    return ClassificationFlags(_trend_to_infinity(pts * np.asarray(ff.A(-pts), float)))
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ cutoff matters, and the seeds involve high powers of small h_1 values.
 
 The table is read through one interpolant, a monotone cubic (PCHIP) of
 log h_r over all rows at once, built on first use and kept with the
-table: `HTable.h_at`, `integrate_h` (and so the cumulants) and
-`decay.ratio_sequence` all evaluate it.
+table: `integrate_h` (and so the cumulants) reads it through
+`HTable.h_at`, and `decay.ratio_sequence` evaluates all rows at once.
 """
 
 from __future__ import annotations
@@ -195,5 +195,5 @@ def integrate_h(table: HTable, r: int, a, b):
     if a < z[0] - 1e-12 or b > z[-1] + 1e-12:
         raise InputError("integration range outside the table grid")
     cuts = np.concatenate(([a], z[(z > a) & (z < b)], [b]))
-    h = lambda x, _: np.exp(table.interpolant(np.clip(x, z[0], z[-1]))[r - 1])
+    h = lambda x, _: table.h_at(r, x)
     return float(np.sum(_integrate_segments(h, cuts[:-1], cuts[1:])))

@@ -38,11 +38,10 @@ __all__ = ["SolutionGrid", "TreeResult", "McResult",
 @dataclass(frozen=True)
 class SolutionGrid:
     """PDE solver output: the spatial grid, and the time series of F and
-    f at every step for each starting point in `probe_y` (snapped to its
-    grid node)."""
+    f at every step, one row per starting point in the order of
+    `solve_pde`'s `probe_y`, each read at the grid node it snaps to."""
 
     y_nodes: np.ndarray
-    probe_y: tuple
     probe_tau: np.ndarray             # shape (n_steps + 1,)
     probe_F: np.ndarray               # shape (n_probe, n_steps + 1)
     probe_f: np.ndarray
@@ -73,8 +72,6 @@ class McResult:
     censored_count: int
     dt: float
     n_paths: int
-    seed: int
-    bridge: bool
 
     @property
     def mean(self):
@@ -228,8 +225,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
     Ai = Ay[probe_idx][:, None]
     return SolutionGrid(
-        y_nodes=y, probe_y=tuple(y[i] for i in probe_idx),
-        probe_tau=dtau * np.arange(n_steps + 1), probe_F=F0,
+        y_nodes=y, probe_tau=dtau * np.arange(n_steps + 1), probe_F=F0,
         probe_f=Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2)
 
 
@@ -374,8 +370,7 @@ def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
             gap, new_gap = new_gap, gap
 
     samples = dt * np.repeat(np.asarray(hit_steps, float), hit_counts)
-    return McResult(samples=samples, censored_count=n,
-                    dt=dt, n_paths=n_paths, seed=seed, bridge=bridge)
+    return McResult(samples=samples, censored_count=n, dt=dt, n_paths=n_paths)
 
 
 # ----------------------------------------------------------------------

@@ -228,6 +228,14 @@ def test_exit_code_empty_or_negative_sweep(capsys, count):
     assert "sweep count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--barriers", "a"),
+                                           ("--offsets", "1,,2")])
+def test_exit_code_bad_validate_list(capsys, option, value):
+    # a list that is not numbers is bad input, not a ValueError traceback
+    assert main(["validate", "--model", "ou", f"{option}={value}"]) == 3
+    assert option in capsys.readouterr().err
+
+
 def test_exit_code_numeric_failure(capsys):
     code = main(["pcf", "--s", "1", "--y", "100"])
     assert code == 2

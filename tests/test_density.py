@@ -60,7 +60,7 @@ def test_theta_fisher_abm_is_zero(abm):
 
 def test_theta_quadrature_route_matches_closed_form(ou):
     ff, _ = ou
-    im_q = fpt.measure_from_drift(ff.A, domain=(-12.0, 12.0), n=241)
+    im_q = fpt.measure_from_drift(ff.A, domain=(-12.0, 12.0))
     assert fpt.theta_fisher(ff, im_q) == pytest.approx(1.0, abs=1e-8)
 
 
