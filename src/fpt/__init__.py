@@ -9,13 +9,14 @@ PDE / lattice / Monte Carlo oracles for validation.
 __version__ = "0.1.0"
 
 from .errors import FptError, InputError, NumericsError
-from .forcefield import (ForceField, InvariantMeasure, ClassificationFlags,
-                         builtin, classify, measure_from_drift, load_field)
-from .oupcf import pcf, rightmost_zero, hermite_leftmost_zero
-from .hseries import HGrid, HTable, catalan_numbers, build_table, integrate_h
+from .forcefield import (ForceField, InvariantMeasure, builtin, classify,
+                         measure_from_drift, load_field)
+from .oupcf import (pcf, rightmost_zero, hermite_leftmost_zero, ou_mean_regime,
+                    OU_MEAN_REGIMES)
+from .hseries import (HGrid, HTable, catalan_numbers, build_table, integrate_h,
+                      CumulantSet, cumulants)
 from .decay import (DecayEstimate, ratio_sequence, aitken_A1, estimate_lambda,
                     lambda_asymptotic, lambda_exact, tanh_eigenvalues)
-from .cumulants import CumulantSet, cumulants, ou_mean_regime, OU_MEAN_REGIMES
 from .density import (DensityModel, theta_fisher, nu_coefficient, build_model,
                       calibrate_rho, eval_density, log_density)
 from .oracle import (SolutionGrid, TreeResult, McResult, solve_pde, solve_tree,

@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cumulants import cumulants as _compute_cumulants
 from . import decay as _decay
 from . import density as _density
 from . import hseries as _hseries
@@ -32,7 +31,9 @@ TABLE1_ROWS = [-2.86, -2.33, -np.sqrt(3.0), -1.0, -0.5, 0.0,
                0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
 
-_MODEL_PARAMS = ("mu", "alpha", "gamma", "parameterization")
+# the builtin models, in --model order, and the options each one takes
+_MODEL_PARAMS = {"ou": (), "dry_friction": ("mu",),
+                 "tanh": ("alpha", "gamma", "parameterization"), "abm": ("mu",)}
 
 
 def _config_json(args):
@@ -43,8 +44,9 @@ def _config_json(args):
               "out": args.out, "seed": args.seed,
               "config": getattr(args, "config", None),
               "params": {}, "options": {}}
+    param_names = {k for names in _MODEL_PARAMS.values() for k in names}
     for k, v in vars(args).items():
-        if k in _MODEL_PARAMS:
+        if k in param_names:
             record["params"][k] = v
         elif k not in record:
             record["options"][k] = v
@@ -89,12 +91,7 @@ def _field_from_args(args):
 
 
 def _model_params(args):
-    if args.model in ("dry_friction", "abm"):
-        return {"mu": args.mu}
-    if args.model == "tanh":
-        return {"alpha": args.alpha, "gamma": args.gamma,
-                "parameterization": args.parameterization}
-    return {}
+    return {k: getattr(args, k) for k in _MODEL_PARAMS[args.model]}
 
 
 def _parse_sweep(text):
@@ -117,8 +114,7 @@ def _parse_list(text, option):
 
 
 def _add_model_args(p):
-    p.add_argument("--model", default="ou",
-                   choices=["ou", "dry_friction", "tanh", "abm"])
+    p.add_argument("--model", default="ou", choices=list(_MODEL_PARAMS))
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
@@ -145,22 +141,26 @@ def cmd_pcf(args):
     _write_csv(args.out, args, cols, rows)
 
 
+def _rate_rows(ff, im, name, args, barriers, exact):
+    """(y_plus, estimated rate, exact rate or None, far-left and far-right
+    asymptotes) at each barrier, for the field a command built once."""
+    params = _model_params(args)
+    for yp in barriers:
+        est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
+        yield (yp, est.lam,
+               _decay._exact_or_none(name, float(yp), params) if exact else None,
+               _decay.lambda_asymptotic(im, yp, "far_left"),
+               _decay.lambda_asymptotic(im, yp, "far_right"))
+
+
 def cmd_lambda(args):
     (ff, im), name = _field_from_args(args)
-    params = _model_params(args)
     if args.sweep:
         a, b, n = _parse_sweep(args.sweep)
         barriers = np.linspace(a, b, n)
     else:
         barriers = [args.barrier]
-    rows = []
-    for yp in barriers:
-        est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
-        exact = (_decay._exact_or_none(name, float(yp), params)
-                 if args.exact else None)
-        rows.append((yp, est.lam, exact,
-                     _decay.lambda_asymptotic(im, yp, "far_left"),
-                     _decay.lambda_asymptotic(im, yp, "far_right")))
+    rows = list(_rate_rows(ff, im, name, args, barriers, args.exact))
     _write_csv(args.out, args,
                ["y_plus", "lambda_est", "lambda_exact",
                 "lambda_asym_left", "lambda_asym_right"], rows)
@@ -180,23 +180,19 @@ def cmd_cumulants(args):
     (ff, im), _ = _field_from_args(args)
     grid = _hseries.HGrid(z_max=max(args.barrier, _hseries.HGrid.Z + 1.0) + 1e-9)
     table = _hseries.build_table(ff, im, grid, args.rmax)
-    cs = _compute_cumulants(table, args.start, args.barrier, im=im,
+    cs = _hseries.cumulants(table, args.start, args.barrier, im=im,
                             time_scale=ff.kappa)
     rows = list(zip(range(1, len(cs.kappa_r) + 1), cs.kappa_r, cs.dimensional()))
     rows.append(("mean_direct", cs.mean_direct, None))
     _write_csv(args.out, args, ["r", "kappa_r_dimensionless", "kappa_r_dimensional"], rows)
 
 
-def _build_density_model(args):
+def cmd_density(args):
     (ff, im), name = _field_from_args(args)
-    return _density.build_model(
+    model = _density.build_model(
         ff, im, args.start, args.barrier,
         model_name=None if name == "custom" else name,
         model_params=_model_params(args))
-
-
-def cmd_density(args):
-    model = _build_density_model(args)
     tau = np.linspace(args.tmax / args.n, args.tmax, args.n)
     fvals = _density.eval_density(model, tau)
     cols = ["tau", "f_formula"]
@@ -237,8 +233,6 @@ def cmd_oracle(args):
             curve_path = _sibling_path(args.out, "_cdf.csv")
             _write_csv(curve_path, args, ["tau", "F_empirical"],
                        list(zip(tgrid, emp)))
-    else:
-        raise InputError(f"unknown oracle {args.oracle!r}")
 
 
 def cmd_table1(args):
@@ -253,15 +247,9 @@ def cmd_table1(args):
 
 def cmd_fig1(args):
     (ff, im), name = _field_from_args(args)
-    params = _model_params(args)
     a, b, n = _parse_sweep(args.sweep)
-    rows = []
-    for yp in np.linspace(a, b, n):
-        est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
-        rows.append(("sweep", yp, est.lam,
-                     _decay._exact_or_none(name, float(yp), params),
-                     _decay.lambda_asymptotic(im, yp, "far_left"),
-                     _decay.lambda_asymptotic(im, yp, "far_right")))
+    rows = [("sweep", *row) for row in
+            _rate_rows(ff, im, name, args, np.linspace(a, b, n), exact=True)]
     # orthogonal-polynomial zero markers, where the model has them
     if name == "ou":
         for order in range(1, 6):

@@ -149,12 +149,15 @@ def log_density(model: DensityModel, tau):
     if model.theta == 0.0:
         # theta -> 0 limit: all reversion factors collapse, leaving the
         # inverse Gaussian of a drifting Brownian motion
-        b = model.b
-        return (np.log(b) - 0.5 * np.log(4.0 * np.pi * tau**3)
-                - b * b / (4.0 * tau) - model.lam * tau + 0.5 * dlpsi)
+        return _log_levy(model.b, tau) - model.lam * tau + 0.5 * dlpsi
 
     base, w = _rho_free_log_density(model, tau, dlpsi)
     return base + model.rho * (1.0 - w) / (1.0 + w)
+
+
+def _log_levy(b, tau):
+    """log of the Levy-Smirnov density b/sqrt(4 pi tau^3) e^{-b^2/(4 tau)}."""
+    return np.log(b) - 0.5 * np.log(4.0 * np.pi * tau**3) - b * b / (4.0 * tau)
 
 
 def _log_psi_ratio(model):
@@ -233,8 +236,7 @@ def _normalizer(model: DensityModel):
     xg, wg = _gauss_legendre(_NORM_N_MID)
     x = 0.5 * (xg + 1.0) * (x_hi - x_lo) + x_lo
     tau = b * b / (4.0 * x * x)
-    log_ls = (np.log(b) - 0.5 * np.log(4.0 * np.pi * tau**3)
-              - b * b / (4.0 * tau))
+    log_ls = _log_levy(b, tau)
     mid_base, w = _rho_free_log_density(model, tau, dlpsi)
     mid_omw, mid_opw = 1.0 - w, 1.0 + w
     mid_scale = 0.5 * (x_hi - x_lo)

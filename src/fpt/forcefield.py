@@ -32,7 +32,6 @@ from .errors import InputError, NumericsError
 __all__ = [
     "ForceField",
     "InvariantMeasure",
-    "ClassificationFlags",
     "builtin",
     "classify",
     "measure_from_drift",
@@ -83,15 +82,6 @@ class InvariantMeasure:
 
     def psi(self, y):
         return np.exp(self.log_psi(y))
-
-
-@dataclass(frozen=True)
-class ClassificationFlags:
-    """Heuristic flag S_minus: whether -y*A(y) -> +inf as y -> -inf, from
-    its values at y = -20, -40 and -80 alone; None means the sampled trend
-    was inconclusive.  Advisory only: algorithms proceed regardless."""
-
-    S_minus: Optional[bool]
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +239,10 @@ def _integrate_segments(f, a, b, whole=False):
     Each round calls f(x, k) once, on the 19 nodes x of the 9- and
     12-point Gauss-Lobatto rules in every open segment (flattened, 19 per
     segment), with k the index into the flattened a, b of each segment.
-    A segment is done when the two rules agree to 1e-14 of the L1 mass of
-    the segment it was split from; the others are halved for the next
-    round.
+    A segment is done when the two rules agree to 1e-14 of an L1 mass: in
+    the first round its own, later that of its whole integral as the round
+    estimates it (finished plus open pieces), so a spike on a first-round
+    node cannot inflate the tolerance.  The others are halved.
     A smooth f takes one round however many segments there are; a kink
     takes about 20 rounds and a jump about 40, as the halves holding it
     shrink until its share of the error is below tolerance.
@@ -274,9 +265,9 @@ def _integrate_segments(f, a, b, whole=False):
     shape = a.shape
     lo, hi = a.ravel(), b.ravel()
     total = np.zeros(lo.size)
+    mass = np.zeros(lo.size)          # L1 mass of the finished pieces
     owner = np.arange(lo.size)
     max_open = max(_SEG_MAX_GROWTH * lo.size, _SEG_MIN_OPEN)
-    scale = None
     for rnd in range(_SEG_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
@@ -288,10 +279,14 @@ def _integrate_segments(f, a, b, whole=False):
         fx = fx.reshape(x.shape)
         del x
         est_lo, est = (fx @ _RULE_WEIGHTS).T * half
-        if scale is None:
-            scale = np.abs(half) * (np.abs(fx) @ _RULE_WEIGHTS[:, 1])
+        l1 = np.abs(half) * (np.abs(fx) @ _RULE_WEIGHTS[:, 1])
+        if rnd == 0:
+            scale = l1
             if whole:
                 floor = _SEG_RTOL * scale.sum() / np.abs(half).sum()
+        else:
+            scale = (mass + np.bincount(owner, weights=l1,
+                                        minlength=mass.size))[owner]
         err = np.abs(est - est_lo)
         done = err <= _SEG_RTOL * scale
         if whole:
@@ -299,6 +294,7 @@ def _integrate_segments(f, a, b, whole=False):
         if rnd == 0 and done.all():
             return est.reshape(shape)
         total += np.bincount(owner[done], weights=est[done], minlength=total.size)
+        mass += np.bincount(owner[done], weights=l1[done], minlength=mass.size)
         if done.all():
             break
         open_ = ~done
@@ -310,7 +306,7 @@ def _integrate_segments(f, a, b, whole=False):
                 f"still open after round {rnd + 1}, the worst on "
                 f"[{lo[worst]:g}, {hi[worst]:g}]; the integrand is too "
                 "rough or too noisy for a relative tolerance of 1e-14")
-        owner, scale = np.repeat(owner[open_], 2), np.repeat(scale[open_], 2)
+        owner = np.repeat(owner[open_], 2)
         lo, hi, mid = np.repeat(lo[open_], 2), np.repeat(hi[open_], 2), mid[open_]
         lo[1::2] = hi[::2] = mid
     return total.reshape(shape)
@@ -477,12 +473,12 @@ def _trend_to_infinity(vals):
     return None
 
 
-def classify(ff: ForceField) -> ClassificationFlags:
-    """Sample -y*A(y) at y = -20, -40 and -80 only and report S_minus,
-    whether it grows without bound.  Purely heuristic (a monotone trend at
-    three points); `build_table` warns when the flag is False."""
+def classify(ff: ForceField) -> Optional[bool]:
+    """S_minus: True when -y*A(y) grows without bound as y -> -inf, False
+    when not and None when inconclusive, from y = -20, -40 and -80 alone.
+    Heuristic and advisory: `build_table` warns when it is False."""
     pts = np.asarray(_CLASSIFY_POINTS)
-    return ClassificationFlags(_trend_to_infinity(pts * np.asarray(ff.A(-pts), float)))
+    return _trend_to_infinity(pts * np.asarray(ff.A(-pts), float))
 
 
 # ----------------------------------------------------------------------

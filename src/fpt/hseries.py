@@ -2,8 +2,11 @@
 H(s,z) of the bounded homogeneous solution.
 
 H(s,z) expands as sum_r (-s)^r h_r(z); the ratios h_r/h_{r+1} at the
-boundary converge to the decay rate and the integrals of h_r give the
-first-passage cumulants, so this table is the computational backbone.
+boundary converge to the decay rate, and the cumulants of the passage
+time are k_r = r! * int_{y0}^{y_plus} h_r (all positive, ~ lambda^(-r) for
+a far boundary, where the passage time is asymptotically exponential).
+`cumulants` also cross-checks the mean against the closed h_1 = Psi/psi
+(`mean_direct`).  So this table is the computational backbone.
 
 Construction (per column r >= 2):
 
@@ -24,8 +27,8 @@ cutoff matters, and the seeds involve high powers of small h_1 values.
 
 The table is read through one interpolant, a monotone cubic (PCHIP) of
 log h_r over all rows at once, built on first use and kept with the
-table: `integrate_h` (and so the cumulants) reads it through
-`HTable.h_at`, and `decay.ratio_sequence` evaluates all rows at once.
+table: `integrate_h` reads it through `HTable.h_at`, and
+`decay.ratio_sequence` evaluates all rows at once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import InputError, NumericsError
 from .forcefield import ForceField, InvariantMeasure, _integrate_segments, classify
 
-__all__ = ["HGrid", "HTable", "catalan_numbers", "build_table", "integrate_h"]
+__all__ = ["HGrid", "HTable", "catalan_numbers", "build_table", "integrate_h",
+           "CumulantSet", "cumulants"]
 
 
 def catalan_numbers(n):
@@ -139,8 +143,7 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid,
     """Run the seeded march for r = 2..r_max over the grid."""
     if r_max < 2:
         raise InputError("r_max must be >= 2")
-    flags = classify(ff)
-    if flags.S_minus is False:
+    if classify(ff) is False:
         warnings.warn(f"field {ff.label!r}: -y*A(y) does not blow up at "
                       "-inf; the left-edge seeds may be inaccurate")
 
@@ -184,7 +187,7 @@ def integrate_h(table: HTable, r: int, a, b):
     In each cell log h_r is one cubic, so every segment's integrand
     exp(cubic) is analytic, and `forcefield._integrate_segments` is done
     in one round for smooth drifts (up to four for the kinked
-    -y - |y - 0.77|)."""
+    -y - |y - 0.77|); `HTable.h_at` rejects a range outside the grid."""
     table._check_row(r)
     a, b = float(a), float(b)
     if b < a:
@@ -192,8 +195,48 @@ def integrate_h(table: HTable, r: int, a, b):
     if b == a:
         return 0.0
     z = table.grid.nodes
-    if a < z[0] - 1e-12 or b > z[-1] + 1e-12:
-        raise InputError("integration range outside the table grid")
     cuts = np.concatenate(([a], z[(z > a) & (z < b)], [b]))
     h = lambda x, _: table.h_at(r, x)
     return float(np.sum(_integrate_segments(h, cuts[:-1], cuts[1:])))
+
+
+@dataclass(frozen=True)
+class CumulantSet:
+    """Cumulants k_1..k_r of the dimensionless passage time tau; divide
+    k_r by kappa^r for dimensional time."""
+
+    kappa_r: np.ndarray
+    time_scale: float = 1.0
+    mean_direct: float = None         # cross-check from the closed h_1 form
+
+    def dimensional(self):
+        r = np.arange(1, len(self.kappa_r) + 1)
+        return self.kappa_r / self.time_scale ** r
+
+
+def cumulants(table: HTable, y0, y_plus, im=None,
+              time_scale=1.0) -> CumulantSet:
+    """k_r = r! * int_{y0}^{y_plus} h_r for every row r of the table, over
+    its interpolant (see `integrate_h`).
+
+    When the invariant measure is supplied the mean is additionally
+    cross-computed from Psi/psi directly (no table interpolation) and
+    carried in `mean_direct`.
+    """
+    y0, y_plus = float(y0), float(y_plus)
+    if y0 > y_plus:
+        raise InputError("needs y0 <= y_plus")
+    out = np.zeros(table.r_max)
+    if y_plus > y0:
+        fac = 1.0
+        for r in range(1, table.r_max + 1):
+            fac *= r
+            out[r - 1] = fac * integrate_h(table, r, y0, y_plus)
+
+    mean_direct = None
+    if im is not None and y_plus > y0:
+        mean_direct = float(_integrate_segments(
+            lambda z, _: np.exp(_log_h1(im, z)), y0, y_plus))
+
+    return CumulantSet(kappa_r=out, time_scale=time_scale,
+                       mean_direct=mean_direct)

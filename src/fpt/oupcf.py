@@ -37,12 +37,16 @@ only chooses where to look: every rate returned lies between two pcf
 values of opposite sign.  The cost is 2 mpmath values per rate for
 y_plus up to about 2.3, 3-4 on (2.3, 5], and 4-7 beyond, against 4-10
 for brentq on the integer bracket alone.
+
+`ou_mean_regime` is the OU mean passage time in four closed asymptotic
+regimes: low reversion, sub-threshold, supra-threshold and medial.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+import warnings
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -51,11 +55,15 @@ from scipy.optimize import brentq
 
 from .errors import InputError, NumericsError
 
-__all__ = ["pcf", "rightmost_zero", "hermite_leftmost_zero"]
+__all__ = ["pcf", "rightmost_zero", "hermite_leftmost_zero", "ou_mean_regime",
+           "OU_MEAN_REGIMES"]
 
 Y_MAX = 40.0          # documented evaluation range; overflow is raised beyond
 M_MAX = 60            # deepest integer bracket rightmost_zero searches
 EPS = float(np.finfo(float).eps)
+EULER_GAMMA = float(np.euler_gamma)
+
+OU_MEAN_REGIMES = ("low_reversion", "sub_threshold", "supra_threshold", "medial")
 
 # mpmath functions raise and restore their context's working precision as
 # they run, so one context shared between threads is not thread-safe; each
@@ -201,3 +209,81 @@ def _certified_root(lo, hi, y):
     # xtol is the smallest subnormal, so the tolerance stays relative for
     # every rate above the smallest normal double
     return brentq(value, lo, hi, xtol=5e-324, rtol=8 * EPS)
+
+
+def _double_factorial_odd(r):
+    # (2r-1)!! for r >= 1
+    v = 1.0
+    for k in range(1, r + 1):
+        v *= 2 * k - 1
+    return v
+
+
+def _truncated_tail(coeff_fn, terms):
+    """Sum an asymptotic series, stopping at the smallest-magnitude term
+    (standard practice for divergent asymptotics), capped at `terms`."""
+    total = 0.0
+    prev = np.inf
+    for r in range(1, terms + 1):
+        t = coeff_fn(r)
+        if abs(t) > prev:
+            break
+        total += t
+        prev = abs(t)
+    return total
+
+
+def ou_mean_regime(y0, y_plus, regime, terms=2):
+    """Asymptotic mean passage time for the OU model in a named regime.
+
+    low_reversion    |y0|, |y_plus| small:
+                     (sqrt(pi/2) + (y_plus+y0)/2) * (y_plus - y0)
+    sub_threshold    y_plus >> 1:  sqrt(2 pi) e^{y_plus^2/2} / y_plus
+    supra_threshold  y0 < y_plus << 0:
+                     0.5*ln(y0^2/y_plus^2)
+                     + sum_r (-1)^r (2r-1)!!/(2r) (y_plus^{-2r} - y0^{-2r})
+    medial           y_plus = 0, y0 << 0:
+                     (ln(2 y0^2) + euler_gamma)/2
+                     - sum_r (-1)^r (2r-1)!!/(2r) y0^{-2r}
+
+    A regime-mismatch warning fires when the geometry clearly does not fit
+    the requested expansion.
+    """
+    y0, y_plus = float(y0), float(y_plus)
+    if y0 >= y_plus and regime != "medial":
+        raise InputError("needs y0 < y_plus")
+
+    if regime == "low_reversion":
+        if max(abs(y0), abs(y_plus)) > 1.0:
+            warnings.warn("low_reversion expansion expects |y0|, |y_plus| small")
+        return (np.sqrt(np.pi / 2.0) + 0.5 * (y_plus + y0)) * (y_plus - y0)
+
+    if regime == "sub_threshold":
+        if y_plus < 1.5:
+            warnings.warn("sub_threshold expansion expects y_plus >> 1")
+        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * y_plus**2) / y_plus
+
+    if regime == "supra_threshold":
+        if not (y0 < y_plus < 0.0):
+            raise InputError("supra_threshold needs y0 < y_plus < 0")
+        if y_plus > -1.5:
+            warnings.warn("supra_threshold expansion expects y_plus << 0")
+        lead = 0.5 * np.log(y0**2 / y_plus**2)
+        tail = _truncated_tail(
+            lambda r: ((-1.0) ** r * _double_factorial_odd(r) / (2.0 * r)
+                       * (y_plus ** (-2 * r) - y0 ** (-2 * r))), terms)
+        return lead + tail
+
+    if regime == "medial":
+        if abs(y_plus) > 1e-12:
+            warnings.warn("medial regime is defined for a boundary at "
+                          "equilibrium (y_plus = 0)")
+        if y0 > -1.5:
+            warnings.warn("medial expansion expects y0 << 0")
+        lead = 0.5 * (np.log(2.0 * y0**2) + EULER_GAMMA)
+        tail = _truncated_tail(
+            lambda r: (-(-1.0) ** r * _double_factorial_odd(r)
+                       / (2.0 * r * y0 ** (2 * r))), terms)
+        return lead + tail
+
+    raise InputError(f"unknown regime {regime!r}; choose from {OU_MEAN_REGIMES}")

@@ -17,6 +17,7 @@ misses the exact rate by more than 5% (8.21% at y_plus = -1, from the
 exact coefficients), so there the deviation is printed, not asserted.
 """
 
+import json
 import time
 import warnings
 
@@ -24,8 +25,8 @@ import numpy as np
 import pytest
 
 import fpt
-from fpt.cumulants import cumulants
-from fpt.hseries import catalan_numbers
+from fpt.cli import main
+from fpt.hseries import catalan_numbers, cumulants
 from test_oupcf import reflection_product
 
 
@@ -194,27 +195,22 @@ def test_c05_ou_equilibrium_boundary_exact():
 FROZEN_L1 = {"ou": 0.05, "tanh": 0.10, "df_knee_or_below": 0.32, "df_above": 0.10}
 
 
-def _validation_l1(ff, im, name, params, yp, off):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m = fpt.build_model(ff, im, yp - off, yp, model_name=name,
-                            model_params=params)
-    tmax = min(80.0, max(10.0, 8.0 / m.lam))
-    dtau = 1e-3 if tmax <= 20 else 2e-3
-    g = fpt.solve_pde(ff, yp, dy=1 / 200, dtau=dtau, tau_max=tmax,
-                      probe_y=(yp - off,))
-    tau = g.probe_tau[1:]
-    return fpt.l1_distance(tau, fpt.eval_density(m, tau), g.probe_f[0][1:])
-
-
-def test_c06_global_formula_validation():
+def test_c06_global_formula_validation(tmp_path):
+    """`fpt validate` per model on the 27 cases, each L1 under its cap."""
     t0 = time.time()
     results = []
-    for name, params in [("ou", {}),
-                         ("tanh", {"alpha": 2.0, "gamma": 1.0}),
-                         ("dry_friction", {"mu": 1.0})]:
-        ff, im = fpt.builtin(name, **params)
-        for yp in (-1.0, 1.0, 2.0):
+    for name, options in [("ou", []),
+                          ("tanh", ["--alpha=2", "--gamma=1"]),
+                          ("dry_friction", ["--mu=1"])]:
+        out = tmp_path / f"{name}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["validate", "--model", name, *options,
+                         "--barriers=-1,1,2", "--offsets=1,2,4",
+                         "--out", str(out)])
+        assert code == 0
+        for case in json.loads(out.read_text())["cases"]:
+            yp, off = case["y_plus"], case["y_plus"] - case["y0"]
             if name == "ou":
                 cap = FROZEN_L1["ou"]
             elif name == "tanh":
@@ -222,10 +218,10 @@ def test_c06_global_formula_validation():
             else:
                 cap = (FROZEN_L1["df_knee_or_below"] if yp <= 1.0
                        else FROZEN_L1["df_above"])
-            for off in (1.0, 2.0, 4.0):
-                l1 = _validation_l1(ff, im, name, params, yp, off)
-                results.append((name, yp, off, l1, cap))
-                assert l1 <= cap, (name, yp, off, l1, cap)
+            assert case["status"] == "ok", (name, case)
+            results.append((name, yp, off, case["l1"], cap))
+            assert case["l1"] <= cap, (name, yp, off, case["l1"], cap)
+    assert len(results) == 27
     elapsed = time.time() - t0
     assert elapsed <= 300.0
     worst = max(results, key=lambda r: r[3] / r[4])

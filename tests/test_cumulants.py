@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import fpt
-from fpt.cumulants import cumulants, ou_mean_regime, EULER_GAMMA
+from fpt.hseries import cumulants
+from fpt.oupcf import ou_mean_regime, EULER_GAMMA
 from fpt.errors import InputError
 
 

@@ -195,6 +195,20 @@ def test_rho_sensitivity_flagged_near_boundary(ou):
     assert abs(norm(5.0) - norm(0.0)) < 5e-3
 
 
+def test_rho_bracket_doubles_until_it_straddles_the_root(ou, monkeypatch):
+    ff, im = ou
+    rho = fpt.build_model(ff, im, -1.0, 1.0, model_name="ou").rho
+    # the root lies outside [-0.01, 0.01], so two doublings are needed
+    assert abs(rho) > 0.01
+    monkeypatch.setattr(density, "_RHO_BRACKET", 0.01)
+    m = fpt.build_model(ff, im, -1.0, 1.0, model_name="ou")
+    assert m.rho == pytest.approx(rho, abs=1e-12)
+    # five doublings of 1e-4 reach only 3.2e-3
+    monkeypatch.setattr(density, "_RHO_BRACKET", 1e-4)
+    with pytest.raises(fpt.NumericsError, match="rho bracket exhausted"):
+        fpt.build_model(ff, im, -1.0, 1.0, model_name="ou")
+
+
 def _normalization_per_call(model, rho, n_mid=400, n_tail=48, w_split=0.05):
     """Reference: the normalization built afresh for every rho, through
     the public log_density.  `_normalizer` must match it bit for bit."""

@@ -34,6 +34,14 @@ def test_module_exports_reach_the_package(name):
     assert not missing
 
 
+@pytest.mark.parametrize("stem", [p.stem for p in SOURCES if p.stem != "__init__"])
+def test_no_package_name_shadows_a_module(stem):
+    """fpt.<stem> is the module itself: no function or class exported to
+    the package under a module's name hides that module."""
+    module = importlib.import_module(f"fpt.{stem}")
+    assert getattr(fpt, stem) is module
+
+
 # the paper's closed-form OU mean asymptotics: documented in the README and
 # pinned against quadrature by their tests; a CLI column for them would be
 # a new feature

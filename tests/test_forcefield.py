@@ -114,6 +114,27 @@ def test_quadrature_measure_matches_closed_forms():
                                               rel=1e-12)
 
 
+def test_quadrature_measure_far_left_asymptote():
+    """For A = -y^3, Psi underflows left of about -7.25, and log Psi there
+    is the asymptote log psi - log|A|, off by about 3/y^4 from the exact
+    log(Psi/psi); to its right Psi is the quadrature."""
+    import mpmath as mp
+
+    def log_ratio(y):
+        # log(Psi/psi) = log int_0^inf exp((y^4 - (y - u)^4)/4) du
+        with mp.workdps(30):
+            y = mp.mpf(y)
+            f = lambda u: mp.exp((y**4 - (y - u) ** 4) / 4)
+            return float(mp.log(mp.quad(f, [0, 1e-4, 1e-3, 1e-2, 0.1, 1, mp.inf])))
+
+    ff, im = fpt.load_field({"type": "expr", "A": "-y**3", "domain": [-30, 30]})
+    for y, tol in ((-12.0, 2e-4), (-6.0, 1e-12)):
+        got = float(im.log_Psi(y) - im.log_psi(y))
+        assert got == pytest.approx(log_ratio(y), abs=tol)
+    # the h-table seeds read the asymptote at Z = -10
+    assert np.isfinite(fpt.estimate_lambda(ff, im, 0.5).lam)
+
+
 def test_quadrature_measure_calls_drift_a_fixed_number_of_times():
     """Queries are answered by vectorized calls of A: the count does not
     grow with the number of query points."""
@@ -140,18 +161,15 @@ def test_quadrature_measure_calls_drift_a_fixed_number_of_times():
 # ----------------------------------------------------------------------
 
 def test_classify_ou(ou):
-    flags = fpt.classify(ou[0])
-    assert flags.S_minus is True
+    assert fpt.classify(ou[0]) is True
 
 
 def test_classify_dry_friction(dry_friction):
-    flags = fpt.classify(dry_friction[0])
-    assert flags.S_minus is True
+    assert fpt.classify(dry_friction[0]) is True
 
 
 def test_classify_abm(abm):
-    flags = fpt.classify(abm[0])
-    assert flags.S_minus is True
+    assert fpt.classify(abm[0]) is True
 
 
 def test_classify_slow_field_not_in_S():
@@ -159,8 +177,7 @@ def test_classify_slow_field_not_in_S():
     A = lambda y: -np.asarray(y, float) / (1 + np.asarray(y, float) ** 2)
     Ap = lambda y: (np.asarray(y, float) ** 2 - 1) / (1 + np.asarray(y, float) ** 2) ** 2
     ff = fpt.ForceField(A, Ap, label="slow")
-    flags = fpt.classify(ff)
-    assert flags.S_minus is False
+    assert fpt.classify(ff) is False
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +241,17 @@ def test_segment_quadrature_raises_when_rounds_run_out(monkeypatch):
     monkeypatch.setattr(forcefield, "_SEG_MAX_ROUNDS", 8)
     with pytest.raises(fpt.NumericsError, match="after round 8"):
         forcefield._integrate_segments(jump, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("s", [1e9, 1e12, 1e15])
+def test_segment_quadrature_raises_on_a_spike_at_a_node(s):
+    # the first round samples the height-s spike of unit mass at x = 0; had
+    # the pieces split from it kept that node's inflated L1 mass as their
+    # tolerance scale, a wrong value would come back (0.848 for s = 1e15)
+    from fpt import forcefield
+    spike = lambda x, _: np.where(x < 1 / s, s, 0.0)
+    with pytest.raises(fpt.NumericsError, match="did not converge"):
+        forcefield._integrate_segments(spike, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("expr", ["-y - floor(y)", "-y - gamma(y)"])
