@@ -277,20 +277,31 @@ def cmd_validate(args):
               "cases": []}
     curves = []
     for yp in barriers:
+        built = []                    # (case, model) of each start that built
         for off in offsets:
-            y0 = yp - off
-            case = {"y_plus": yp, "y0": y0}
+            case = {"y_plus": yp, "y0": yp - off}
+            report["cases"].append(case)
             try:
-                model = _density.build_model(
-                    ff, im, y0, yp,
+                built.append((case, _density.build_model(
+                    ff, im, case["y0"], yp,
                     model_name=None if name == "custom" else name,
-                    model_params=params)
-                tmax = args.tmax or min(80.0, max(10.0, 8.0 / model.lam))
-                dtau = 1e-3 if tmax <= 20 else 2e-3
-                grid = _oracle.solve_pde(ff, yp, dy=args.dy, dtau=dtau,
-                                         tau_max=tmax, probe_y=(y0,))
-                tau = grid.probe_tau[1:]
-                f_pde = grid.probe_f[0][1:]
+                    model_params=params)))
+            except (NumericsError, InputError) as exc:
+                case.update(status="failed", error=str(exc))
+        if not built:
+            continue
+        # the rate, and with it tau_max and dtau, depends on y_plus alone,
+        # so one solve serves every start of the barrier
+        tmax = args.tmax or min(80.0, max(10.0, 8.0 / built[0][1].lam))
+        dtau = 1e-3 if tmax <= 20 else 2e-3
+        pde = _pde_densities(ff, yp, [case["y0"] for case, _ in built],
+                             dy=args.dy, dtau=dtau, tau_max=tmax)
+        for (case, model), res in zip(built, pde):
+            if isinstance(res, Exception):
+                case.update(status="failed", error=str(res))
+                continue
+            tau, f_pde = res
+            try:
                 f_formula = _density.eval_density(model, tau)
                 case.update(
                     lam=model.lam, lambda_source=model.lambda_source,
@@ -304,10 +315,9 @@ def cmd_validate(args):
                 for t, fa, fb in zip(tau[::args.curve_stride],
                                      f_formula[::args.curve_stride],
                                      f_pde[::args.curve_stride]):
-                    curves.append((f"{yp:g}/{y0:g}", t, fa, fb))
+                    curves.append((f"{yp:g}/{case['y0']:g}", t, fa, fb))
             except (NumericsError, InputError) as exc:
                 case.update(status="failed", error=str(exc))
-            report["cases"].append(case)
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -317,6 +327,23 @@ def cmd_validate(args):
         _write_csv(curve_path, args, ["case", "tau", "f_formula", "f_pde"], curves)
     else:
         sys.stdout.write(text + "\n")
+
+
+def _pde_densities(ff, y_plus, starts, **grid):
+    """One `solve_pde` for all `starts`: per start, (tau, f) after
+    tau = 0, or the error that fails its case.  A start outside the grid
+    is the one bad input that concerns a single start, so after an
+    InputError each start is solved alone."""
+    try:
+        g = _oracle.solve_pde(ff, y_plus, probe_y=starts, **grid)
+    except NumericsError as exc:
+        return [exc] * len(starts)
+    except InputError as exc:
+        if len(starts) == 1:
+            return [exc]
+        return [res for y0 in starts
+                for res in _pde_densities(ff, y_plus, [y0], **grid)]
+    return [(g.probe_tau[1:], f[1:]) for f in g.probe_f]
 
 
 def _tail_slope_error(model, tau, f_pde):

@@ -10,9 +10,11 @@ analytic modules:
               f = A F_y + F_yy (smooth; no O(dtau) differencing noise near
               tau = 0).  It steps the symmetrized operator D L D^-1,
               factored once by dpttrf, as G <- 2 K^-1 (G + b) - G: one
-              dpttrs solve per step.  Its domain (finite A, cell Peclet
-              number below 1, scaling within e^460) is checked up front
-              and InputError names the knob to turn (dy or y_min).
+              dpttrs solve per step, in blocks of 32 steps that are
+              checked against [0, 1] and read at the probes at once.
+              Its domain (finite A, cell Peclet number below 1, scaling
+              within e^460) is checked up front and InputError names the
+              knob to turn (dy or y_min).
   solve_tree  explicit trinomial lattice, forward induction with an
               absorbing top layer.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
@@ -91,6 +93,10 @@ class McResult:
 # nor loses its relative precision.
 _MAX_LOG_SCALE = 460.0
 
+# solve_pde steps this many steps into a buffer, then checks and reads
+# them at once
+_BLOCK = 32
+
 
 def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
               tau_max=20.0, probe_y=()) -> SolutionGrid:
@@ -117,8 +123,14 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     G <- 2 K^-1 (G + b) - G and a backward-Euler half step is
     G <- K^-1 (G + b): one in-place dpttrs solve each, where b is zero
     except on the last row, which carries the boundary value F = 1 as
-    D_{M-1} (dtau/2) u_{M-1}.  Every step forms F = G / D, checks that it
-    stays in [0, 1] and raises NumericsError if it leaves (or is NaN).
+    D_{M-1} (dtau/2) u_{M-1}; the CN solve uses the factors of K / 2, so
+    its dpttrs returns 2 K^-1 (G + b) directly.
+
+    Steps run in blocks of _BLOCK, each solved into its own row of a
+    buffer.  After a block, F = G / D is checked to stay in [0, 1] at every
+    node of every step, from the node-wise min and max of G over the block
+    (D > 0, so this is exact), and NumericsError names the first step that
+    left (or is NaN).  The probes read their stencil columns of the block.
 
     The scaling is defined only where it is real and representable, and
     outside that domain InputError is raised:
@@ -194,33 +206,52 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 
     n_steps = int(round(tau_max / dtau))
     reads = np.zeros((n_steps + 1, stencil.size))
+    # the interior column of each stencil node; the boundary nodes 0 and M
+    # read F = 0 and F = 1 instead
+    col = np.clip(stencil - 1, 0, M - 2)
+    at_min, at_plus = stencil == 0, stencil == M
 
-    # G lives on the interior nodes; two buffers swap roles each solve,
-    # the right-hand side is built in `nxt` and solved there in place.
-    # `profile` is F on the full grid, with F(y_min) = 0 and F(y_plus) = 1.
-    cur = np.zeros(M - 1)
-    nxt = np.empty(M - 1)
-    profile = np.zeros(M + 1)
-    profile[-1] = 1.0
-    F = profile[1:M]
-    for step in range(1, n_steps + 1):
-        startup = step <= 2           # two BE half steps per nominal step
-        for _ in range(2 if startup else 1):
-            nxt[:] = cur
-            nxt[-1] += b
-            lapack.dpttrs(k_diag, k_off, nxt, overwrite_b=1)
-            if not startup:
-                nxt *= 2.0
-                nxt -= cur
-            cur, nxt = nxt, cur
-        np.multiply(cur, d_inv, out=F)
-        lo, hi = F.min(), F.max()
-        if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):
-            raise NumericsError(
-                f"PDE solution left [0,1] at step {step} "
-                f"(range [{lo:.3e}, {hi:.3e}]); refine dtau")
+    # G lives on the interior nodes.  Row 0 of `block` holds G at the end
+    # of the previous block, rows 1.._BLOCK the steps of this one, each
+    # solved in place from the row above.  Halving the diagonal factor is
+    # exact, so the CN solve returns 2 K^-1 r bit for bit.
+    block = np.zeros((_BLOCK + 1, M - 1))
+    rows = list(block)
+    rhs = np.zeros(M - 1)
+    rhs[-1] = b
+    cn_diag = 0.5 * k_diag
+    # steps past a failing one may overflow or turn NaN; the check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, n_steps + 1, _BLOCK):
+            n = min(_BLOCK, n_steps + 1 - first)
+            for j in range(1, n + 1):
+                cur, nxt = rows[j - 1], rows[j]
+                np.add(cur, rhs, out=nxt)
+                if first + j <= 3:    # steps 1, 2: two BE half steps each
+                    lapack.dpttrs(k_diag, k_off, nxt, overwrite_b=1)
+                    nxt += rhs
+                    lapack.dpttrs(k_diag, k_off, nxt, overwrite_b=1)
+                else:
+                    lapack.dpttrs(cn_diag, k_off, nxt, overwrite_b=1)
+                    np.subtract(nxt, cur, out=nxt)
+            G = block[1:n + 1]
+            # D^-1 > 0 and rounding is monotone, so the node-wise extremes
+            # of G, scaled, are the extremes of every step's F = G D^-1
+            lo = (G.min(axis=0) * d_inv).min()
+            hi = (G.max(axis=0) * d_inv).max()
+            if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):
+                F = G * d_inv
+                lo, hi = F.min(axis=1), F.max(axis=1)
+                k = np.argmin((lo >= -1e-6) & (hi <= 1.0 + 1e-6))
+                raise NumericsError(
+                    f"PDE solution left [0,1] at step {first + k} "
+                    f"(range [{lo[k]:.3e}, {hi[k]:.3e}]); refine dtau")
 
-        np.take(profile, stencil, out=reads[step])
+            out = reads[first:first + n]
+            np.multiply(G[:, col], d_inv[col], out=out)
+            out[:, at_min] = 0.0
+            out[:, at_plus] = 1.0
+            rows[0][:] = rows[n]
 
     Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
     Ai = Ay[probe_idx][:, None]

@@ -206,6 +206,38 @@ def test_validate_curves_sit_beside_an_extensionless_report(tmp_path, monkeypatc
     assert not (tmp_path / "_curves.csv").exists()
 
 
+def test_validate_solves_once_per_barrier(monkeypatch, capsys):
+    """The starts of one barrier share one PDE solve, and each case reports
+    what a run of its start alone reports; a start outside the PDE grid
+    fails alone."""
+    from fpt import cli
+    calls = []
+    real = cli._oracle.solve_pde
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["probe_y"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli._oracle, "solve_pde", counting)
+    common = ["validate", "--model", "ou", "--barriers", "0", "--tmax", "2",
+              "--dy", "0.02"]
+    code, out = run(capsys, *common, "--offsets=1,2")
+    assert code == 0 and calls == [[-1.0, -2.0]]
+    joint = json.loads(out)["cases"]
+    for case, off in zip(joint, ["1", "2"]):
+        code, out = run(capsys, *common, f"--offsets={off}")
+        assert case["status"] == "ok"
+        assert json.loads(out)["cases"] == [case]
+
+    calls.clear()
+    code, out = run(capsys, *common, "--offsets=1,13")
+    cases = json.loads(out)["cases"]
+    assert code == 0 and calls == [[-1.0, -13.0], [-1.0], [-13.0]]
+    assert cases[0] == joint[0]
+    assert cases[1]["status"] == "failed"
+    assert "outside the open interval" in cases[1]["error"]
+
+
 def test_exit_code_bad_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lambda", "--model", "nonsense"])

@@ -1,8 +1,10 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import lapack
 
 import fpt
 from fpt.errors import InputError, NumericsError
@@ -119,6 +121,35 @@ def test_pde_range_check_fails_on_nan(ou, monkeypatch):
         fpt.solve_pde(ou[0], 1.0, probe_y=(0.0,), tau_max=0.1)
 
 
+def _poison_dpttrs_from(monkeypatch, call, value):
+    """From its `call`-th call on, dpttrs writes `value` into the middle
+    of its solution."""
+    oracle = importlib.import_module("fpt.oracle")
+    real = oracle.lapack.dpttrs
+    calls = []
+
+    def poisoned(d, e, b, overwrite_b):
+        real(d, e, b, overwrite_b=overwrite_b)
+        calls.append(None)
+        if len(calls) >= call:
+            b[len(b) // 2] = value
+
+    monkeypatch.setattr(oracle.lapack, "dpttrs", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pde_range_check_fails_mid_block(ou, value, monkeypatch):
+    """A failure inside a block names its own step, and the steps computed
+    after it in the same block raise no RuntimeWarning."""
+    # steps 1 and 2 solve twice each, so step 37, the fifth of the second
+    # block of 32, is the 39th solve
+    _poison_dpttrs_from(monkeypatch, 39, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"left \[0,1\] at step 37 "):
+            fpt.solve_pde(ou[0], 1.0, probe_y=(0.0,), tau_max=0.1)
+
+
 def test_pde_rejects_cell_peclet_above_one():
     # |A| dy / 2 = 1.25: the scaling is not real, and the fix is a finer dy
     with pytest.raises(InputError, match="refine dy"):
@@ -164,6 +195,72 @@ def _dense_cn(ff, y_plus, y0, dy, dtau, n_steps):
     Fm, F0, Fp = np.array(out).T
     Ai = ff.A(np.array([y[i + 1]]))[0]
     return F0, Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
+
+
+def _stepwise_cn(ff, y_plus, probe_y, dy, dtau, n_steps):
+    """solve_pde's symmetric scheme stepped one step at a time: each step
+    solves with K, doubles and subtracts, forms F = G / D on the full grid,
+    checks it and reads the probe stencils.  F and f at each probe."""
+    y_min = y_plus - 12.0
+    M = int(round((y_plus - y_min) / dy))
+    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
+    h = (y_plus - y_min) / M
+    Ay = np.asarray(ff.A(y), float)
+    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
+    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
+    log_d = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
+    log_d -= log_d.max()
+    d_inv = np.exp(-log_d)
+    half = 0.5 * dtau
+    k_diag, k_off, _ = lapack.dpttrf(
+        np.full(M - 1, 1.0 + half * 2.0 / h**2),
+        -half * np.sqrt(upper[:-1] * lower[1:]))
+    b = np.exp(log_d[-1]) * half * upper[-1]
+    idx = [int(round((yp - y_min) / h)) for yp in probe_y]
+    stencil = np.array([(i - 1, i, i + 1) for i in idx]).reshape(-1)
+
+    reads = np.zeros((n_steps + 1, stencil.size))
+    cur = np.zeros(M - 1)
+    nxt = np.empty(M - 1)
+    profile = np.zeros(M + 1)
+    profile[-1] = 1.0
+    F = profile[1:M]
+    for step in range(1, n_steps + 1):
+        startup = step <= 2
+        for _ in range(2 if startup else 1):
+            nxt[:] = cur
+            nxt[-1] += b
+            lapack.dpttrs(k_diag, k_off, nxt, overwrite_b=1)
+            if not startup:
+                nxt *= 2.0
+                nxt -= cur
+            cur, nxt = nxt, cur
+        np.multiply(cur, d_inv, out=F)
+        assert F.min() >= -1e-6 and F.max() <= 1.0 + 1e-6
+        reads[step] = profile[stencil]
+    Fm, F0, Fp = (reads[:, j::3].T for j in range(3))
+    Ai = Ay[idx][:, None]
+    return F0, Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69])
+@pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
+def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
+    """Stepping in blocks reads the same bits as stepping one step at a
+    time: around block edges, at the probes next to the boundaries (their
+    stencils read F = 0 and F = 1), and with several probes in one call."""
+    ff, _ = request.getfixturevalue(field)
+    dy, dtau, M = 1 / 50, 5e-3, 600
+    nodes = -11.0 + 12.0 * np.arange(M + 1) / M
+    for probes in [(nodes[1],), (nodes[M - 1],),
+                   (nodes[1], -1.0, 0.5, nodes[M - 1])]:
+        g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau,
+                          tau_max=n_steps * dtau, probe_y=probes)
+        F_ref, f_ref = _stepwise_cn(ff, 1.0, probes, dy, dtau, n_steps)
+        assert g.probe_F.shape == (len(probes), n_steps + 1)
+        assert np.array_equal(g.probe_F, F_ref)
+        assert np.array_equal(g.probe_f, f_ref)
 
 
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
