@@ -5,6 +5,7 @@ curves with asymptotes and orthogonal-polynomial markers).
 Writes out/fig1_{ou,dry_friction,tanh}.csv.
 """
 
+import os
 import pathlib
 import sys
 
@@ -14,7 +15,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fpt.cli import main  # noqa: E402
 
-OUT = ROOT / "out"
+# relative to ROOT, so the `# config:` header records the same "out" path
+# in every checkout
+OUT = pathlib.Path("out")
 
 SWEEPS = [
     (["--model", "ou", "--sweep=-3:3:25"], "fig1_ou.csv"),
@@ -25,6 +28,7 @@ SWEEPS = [
 ]
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     for args, fname in SWEEPS:
         target = OUT / fname

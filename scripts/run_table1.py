@@ -5,6 +5,7 @@ Writes out/table1.csv (exact parabolic-cylinder zeros side by side with
 the accelerated ratio-sequence estimates) and prints it.
 """
 
+import os
 import pathlib
 import sys
 
@@ -14,9 +15,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fpt.cli import main  # noqa: E402
 
-OUT = ROOT / "out"
+# relative to ROOT, so the `# config:` header records the same "out" path
+# in every checkout
+OUT = pathlib.Path("out")
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     target = OUT / "table1.csv"
     code = main(["table1", "--out", str(target)])

@@ -6,6 +6,7 @@ prints a one-line summary per case.  Takes about 8 s on 2 CPUs.
 """
 
 import json
+import os
 import pathlib
 import sys
 
@@ -15,7 +16,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fpt.cli import main  # noqa: E402
 
-OUT = ROOT / "out"
+# relative to ROOT, so the `# config:` header records the same "out" path
+# in every checkout
+OUT = pathlib.Path("out")
 
 MODELS = [
     (["--model", "ou"], "validate_ou.json"),
@@ -24,6 +27,7 @@ MODELS = [
 ]
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     for args, fname in MODELS:
         target = OUT / fname

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: lambda, hseries, cumulants, density, oracle (pde|tree|mc),
-table1, fig1, validate, pcf.  Global flags: --out, --seed, --config.
+table1, fig1, validate, pcf.  Every subcommand takes --out, the model
+subcommands --model or --config, and oracle the --seed that mc reads.
 Exit codes: 0 success, 2 numeric failure, 3 bad input.
 
 All CSV output is deterministic (shortest round-trip float formatting,
@@ -25,7 +26,7 @@ from . import hseries as _hseries
 from . import oracle as _oracle
 from . import oupcf as _oupcf
 from .errors import InputError, NumericsError
-from .forcefield import _tanh_amplitude, builtin, load_field
+from .forcefield import builtin, load_field
 
 TABLE1_ROWS = [-2.86, -2.33, -np.sqrt(3.0), -1.0, -0.5, 0.0,
                0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -33,16 +34,15 @@ TABLE1_ROWS = [-2.86, -2.33, -np.sqrt(3.0), -1.0, -0.5, 0.0,
 
 # the builtin models, in --model order, and the options each one takes
 _MODEL_PARAMS = {"ou": (), "dry_friction": ("mu",),
-                 "tanh": ("alpha", "gamma", "parameterization"), "abm": ("mu",)}
+                 "tanh": ("alpha", "gamma"), "abm": ("mu",)}
 
 
 def _config_json(args):
     """The `# config:` record of a CSV header, with sorted keys: the
-    command, model, out, seed and config, the model parameters under
+    command, model, out and config, the model parameters under
     "params" and the other options under "options"."""
     record = {"command": args.command, "model": getattr(args, "model", "ou"),
-              "out": args.out, "seed": args.seed,
-              "config": getattr(args, "config", None),
+              "out": args.out, "config": getattr(args, "config", None),
               "params": {}, "options": {}}
     param_names = {k for names in _MODEL_PARAMS.values() for k in names}
     for k, v in vars(args).items():
@@ -118,8 +118,6 @@ def _add_model_args(p):
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--parameterization", default="amplitude",
-                   choices=["amplitude", "ratio"])
     p.add_argument("--config", help="JSON custom field spec (overrides --model)")
 
 
@@ -134,11 +132,8 @@ def _sibling_path(out, suffix):
 # ----------------------------------------------------------------------
 
 def cmd_pcf(args):
-    rows = [(args.s, args.y, _oupcf.pcf(args.s, args.y))]
-    cols = ["s", "y", "value"]
-    if args.zero is not None:
-        rows.append((None, args.zero, -_oupcf.rightmost_zero(args.zero)))
-    _write_csv(args.out, args, cols, rows)
+    _write_csv(args.out, args, ["s", "y", "value"],
+               [(args.s, args.y, _oupcf.pcf(args.s, args.y))])
 
 
 def _rate_rows(ff, im, name, args, barriers, exact):
@@ -191,8 +186,7 @@ def cmd_density(args):
     (ff, im), name = _field_from_args(args)
     model = _density.build_model(
         ff, im, args.start, args.barrier,
-        model_name=None if name == "custom" else name,
-        model_params=_model_params(args))
+        model_name=name, model_params=_model_params(args))
     tau = np.linspace(args.tmax / args.n, args.tmax, args.n)
     fvals = _density.eval_density(model, tau)
     cols = ["tau", "f_formula"]
@@ -258,10 +252,9 @@ def cmd_fig1(args):
                 rows.append(("marker", z, None, float(order), None, None))
     elif name == "tanh":
         # the n=1 level is the rate at its zero y_plus = 0 where it is bound,
-        # and at amp = 2 gamma, where it meets the branch point amp^2/4
-        amp = _tanh_amplitude(args.alpha, args.gamma, args.parameterization)
-        lam, bound = _decay.tanh_eigenvalues(amp, args.gamma, 1)
-        if (bound[0] or amp == 2.0 * args.gamma) and a <= 0.0 <= b:
+        # and at alpha = 2 gamma, where it meets the branch point alpha^2/4
+        lam, bound = _decay.tanh_eigenvalues(args.alpha, args.gamma, 1)
+        if (bound[0] or args.alpha == 2.0 * args.gamma) and a <= 0.0 <= b:
             rows.append(("marker", 0.0, None, lam[0], None, None))
     _write_csv(args.out, args,
                ["kind", "y_plus", "lambda_est", "lambda_exact",
@@ -284,8 +277,7 @@ def cmd_validate(args):
             try:
                 built.append((case, _density.build_model(
                     ff, im, case["y0"], yp,
-                    model_name=None if name == "custom" else name,
-                    model_params=params)))
+                    model_name=name, model_params=params)))
             except (NumericsError, InputError) as exc:
                 case.update(status="failed", error=str(exc))
         if not built:
@@ -368,13 +360,10 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--out", help="output CSV/JSON path (default stdout)")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("pcf", help="evaluate the parabolic-cylinder relative")
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--y", type=float, required=True)
-    sp.add_argument("--zero", type=float,
-                    help="also report the rightmost zero for this barrier")
     common(sp)
 
     sp = sub.add_parser("lambda", help="decay-rate estimates")
@@ -423,6 +412,7 @@ def build_parser():
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--no-bridge", action="store_true")
+    sp.add_argument("--seed", type=int, default=0, help="mc random seed")
     common(sp)
 
     sp = sub.add_parser("table1", help="exact vs estimated OU decay rates")

@@ -20,11 +20,11 @@ Exact rates for the worked models (OU via parabolic-cylinder zeros,
 arithmetic Brownian motion, dry friction via a Lambert-W closed form of
 its pole condition, tanh at the n=1 Romanovski zero y_plus = 0) live in
 `lambda_exact`, and the two boundary asymptotes in `lambda_asymptotic`.
-For tanh, -amp*tanh(gamma*y), the Schrodinger form of the problem is a
-Poschl-Teller well with s = amp/(2 gamma), which binds the odd n=1 state
-only for s > 1: the rate at y_plus = 0 is that level, gamma*(amp - gamma),
-for amp >= 2 gamma, and the branch point amp^2/4 below (the two meet at
-amp = 2 gamma).
+For tanh, -alpha*tanh(gamma*y), the Schrodinger form of the problem is
+a Poschl-Teller well with s = alpha/(2 gamma), which binds the odd n=1
+state only for s > 1: the rate at y_plus = 0 is that level,
+gamma*(alpha - gamma), for alpha >= 2 gamma, and the branch point
+alpha^2/4 below (the two meet at alpha = 2 gamma).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from scipy import special
 
 from . import oupcf
 from .errors import InputError, NumericsError
-from .forcefield import ForceField, InvariantMeasure, _tanh_amplitude
+from .forcefield import ForceField, InvariantMeasure, builtin
 from .hseries import HGrid, HTable, build_table
 
 __all__ = ["DecayEstimate", "ratio_sequence", "aitken_A1",
@@ -168,8 +168,7 @@ def tanh_eigenvalues(alpha, gamma, n_max=8):
     return lam, valid
 
 
-def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
-                 parameterization="amplitude"):
+def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0):
     """Exact decay rate for the worked models.
 
     ou           minus the rightmost zero in s of pcf(s, y_plus)
@@ -180,33 +179,28 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0,
                  Laplace transform in closed form via Lambert W, up to
                  mu*y_plus of about 708, where the rate underflows,
     tanh         only the boundary at the n=1 polynomial zero (y_plus = 0)
-                 is covered: the n=1 level gamma*(amp-gamma) of
-                 `tanh_eigenvalues` where it is bound (amp > 2 gamma), and
-                 the branch-point value amp^2/4 otherwise, which equals it
-                 at amp = 2 gamma; NumericsError elsewhere.  amp comes from
-                 alpha, gamma and parameterization as in
-                 `builtin('tanh', ...)`, which are rejected as there.
+                 is covered: the n=1 level gamma*(alpha-gamma) of
+                 `tanh_eigenvalues` where it is bound (alpha > 2 gamma),
+                 and the branch-point value alpha^2/4 otherwise, which
+                 equals it at alpha = 2 gamma; NumericsError elsewhere.
+
+    The model and its parameters are checked by `builtin(model, ...)`: an
+    unknown model, or one it rejects, raises InputError as there.
     """
+    builtin(model, mu=mu, alpha=alpha, gamma=gamma)
     y_plus = float(y_plus)
     if model == "ou":
         return oupcf.rightmost_zero(y_plus)
     if model == "abm":
-        if mu <= 0:
-            raise InputError("abm needs mu > 0")
         return mu * mu / 4.0
     if model == "dry_friction":
-        if mu <= 0:
-            raise InputError("dry_friction needs mu > 0")
         return _dry_friction_lambda(mu, y_plus)
-    if model == "tanh":
-        amp = _tanh_amplitude(alpha, gamma, parameterization)
-        if abs(y_plus) > 1e-12:
-            raise NumericsError(
-                "no polynomial eigenvalue available: the n=1 Romanovski zero "
-                "sits at y_plus = 0 and higher levels are out of scope")
-        lam, bound = tanh_eigenvalues(amp, gamma, 1)
-        return float(lam[0]) if bound[0] else amp * amp / 4.0
-    raise InputError(f"unknown model {model!r}")
+    if abs(y_plus) > 1e-12:             # tanh
+        raise NumericsError(
+            "no polynomial eigenvalue available: the n=1 Romanovski zero "
+            "sits at y_plus = 0 and higher levels are out of scope")
+    lam, bound = tanh_eigenvalues(alpha, gamma, 1)
+    return float(lam[0]) if bound[0] else alpha * alpha / 4.0
 
 
 def _exact_or_none(model, y_plus, params):

@@ -318,7 +318,9 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
 
     lam defaults to the exact rate when `model_name` identifies a solvable
     model (ou, abm, dry_friction, and tanh at its polynomial-zero
-    boundary), falling back to the accelerated ratio-sequence estimate.
+    boundary), falling back to the accelerated ratio-sequence estimate,
+    and `lambda_source` then names that route.  A given lam is labelled
+    `lambda_source` ("user" by default); a label without lam is bad input.
     theta defaults to the Fisher value.  rho is then calibrated by
     normalization; for theta = 0 (ABM) no calibration is needed.
     """
@@ -332,13 +334,14 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
             theta = theta_fisher(ff, im) if known is None else float(known)
 
     if lam is None:
-        src = "exact"
+        if lambda_source is not None:
+            raise InputError("lambda_source labels a given lam; pass lam too")
+        lambda_source = "exact"
         if model_name is not None:
             lam = _decay._exact_or_none(model_name, y_plus, params)
         if lam is None:
             lam = _decay.estimate_lambda(ff, im, y_plus).lam
-            src = "ratio-accelerated"
-        lambda_source = lambda_source or src
+            lambda_source = "ratio-accelerated"
     lambda_source = lambda_source or "user"
 
     if theta == 0.0:

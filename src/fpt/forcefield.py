@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+import inspect
 import json
 import warnings
 
@@ -118,21 +119,8 @@ def _dry_friction(mu):
     return ForceField(A, A_prime, label=f"dry_friction(mu={mu:g})"), im
 
 
-def _tanh_amplitude(alpha, gamma, parameterization):
-    """amp of the tanh drift A = -amp*tanh(gamma*y): alpha ('amplitude') or
-    alpha/gamma ('ratio').  The two conventions appear in different places
-    in the literature; `ratio(alpha, gamma)` is the same field as
-    `amplitude(alpha/gamma, gamma)`."""
-    if parameterization not in ("amplitude", "ratio"):
-        raise InputError(f"unknown tanh parameterization {parameterization!r}")
-    if not (alpha > 0 and gamma > 0):
-        raise InputError("tanh field needs alpha, gamma > 0")
-    return alpha if parameterization == "amplitude" else alpha / gamma
-
-
-def _tanh_field(alpha, gamma, parameterization):
-    """A = -amp*tanh(gamma*y), amp from `_tanh_amplitude`."""
-    amp = _tanh_amplitude(alpha, gamma, parameterization)
+def _tanh_field(amp, gamma):
+    """A = -amp*tanh(gamma*y)."""
     p = amp / gamma                     # psi ~ sech(gamma*y)^p
     A = lambda y: -amp * np.tanh(gamma * np.asarray(y, float))
     A_prime = lambda y: -amp * gamma / np.cosh(gamma * np.asarray(y, float)) ** 2
@@ -169,14 +157,15 @@ def _abm(mu):
     return ForceField(A, A_prime, label=f"abm(mu={mu:g})"), im
 
 
-def builtin(name, mu=1.0, alpha=2.0, gamma=1.0, parameterization="amplitude"):
+def builtin(name, mu=1.0, alpha=2.0, gamma=1.0):
     """Return the (ForceField, InvariantMeasure) pair for a built-in model.
 
     Parameters
     ----------
     name : {'ou', 'dry_friction', 'tanh', 'abm'}
     mu : drift magnitude for dry_friction / abm (must be > 0)
-    alpha, gamma, parameterization : tanh options; see `_tanh_field`
+    alpha, gamma : amplitude and rate of the tanh drift
+        A = -alpha*tanh(gamma*y) (both must be > 0)
     """
     if name == "ou":
         return _ou()
@@ -185,7 +174,9 @@ def builtin(name, mu=1.0, alpha=2.0, gamma=1.0, parameterization="amplitude"):
             raise InputError("dry_friction needs mu > 0")
         return _dry_friction(mu)
     if name == "tanh":
-        return _tanh_field(alpha, gamma, parameterization)
+        if not (alpha > 0 and gamma > 0):
+            raise InputError("tanh field needs alpha, gamma > 0")
+        return _tanh_field(alpha, gamma)
     if name == "abm":
         if mu <= 0:
             raise InputError("abm needs mu > 0")
@@ -498,26 +489,45 @@ def load_field(source):
     end values outside the table.  Expression drifts are parsed with sympy
     over a real y so the derivative is exact; the Dirac delta of a jump
     counts as 0 in A', as for dry friction.  An expression whose A or A'
-    cannot be evaluated on the domain raises InputError.
+    cannot be evaluated on the domain raises InputError, as do a missing or
+    unknown key (named), an unreadable path and text that is not JSON.
     """
     if isinstance(source, dict):
         spec = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
-            spec = json.loads(text)
-        else:
-            with open(text) as fh:
-                spec = json.load(fh)
+        inline = text.lstrip().startswith("{")
+        where = "inline field spec" if inline else f"field spec {text}"
+        try:
+            if inline:
+                spec = json.loads(text)
+            else:
+                with open(text) as fh:
+                    spec = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read {where}: {exc.strerror}") from None
+        except ValueError as exc:          # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{where} is not valid JSON: {exc}") from None
+        if not isinstance(spec, dict):
+            raise InputError(f"{where} is not a JSON object")
 
     kind = spec.get("type")
     if kind == "builtin":
-        params = {k: v for k, v in spec.items() if k not in ("type", "name")}
-        return builtin(spec["name"], **params)
+        params = {k: v for k, v in spec.items() if k != "type"}
+        try:
+            inspect.signature(builtin).bind(**params)
+        except TypeError as exc:       # a missing "name" or an unknown key
+            raise InputError(f"builtin field spec: {exc}") from None
+        return builtin(**params)
+
+    def required(key):
+        if key not in spec:
+            raise InputError(f"{kind} field spec needs {key!r}")
+        return spec[key]
 
     if kind == "table":
-        ynod = np.asarray(spec["y"], float)
-        Anod = np.asarray(spec["A"], float)
+        ynod = np.asarray(required("y"), float)
+        Anod = np.asarray(required("A"), float)
         if ynod.ndim != 1 or ynod.shape != Anod.shape or len(ynod) < 4:
             raise InputError("table field needs matching 1-d 'y' and 'A' (>= 4 points)")
         if np.any(np.diff(ynod) <= 0):
@@ -544,7 +554,7 @@ def load_field(source):
         import sympy
 
         yvar = sympy.Symbol("y", real=True)
-        expr = sympy.sympify(spec["A"], locals={"y": yvar})
+        expr = sympy.sympify(required("A"), locals={"y": yvar})
         if expr.free_symbols - {yvar}:
             raise InputError("expr field may only use the variable 'y'")
         dexpr = sympy.diff(expr, yvar).replace(sympy.DiracDelta,

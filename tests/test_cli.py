@@ -1,9 +1,13 @@
+import argparse
+import ast
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fpt import cli
 from fpt.cli import main
 
 
@@ -273,6 +277,28 @@ def test_exit_code_numeric_failure(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"type": "builtin", "mu": 1.0}, "'name'"),
+    ({"type": "builtin", "name": "ou", "sigma": 1.0}, "'sigma'"),
+    ({"type": "builtin", "name": "tanh", "parameterization": "ratio"},
+     "'parameterization'"),
+    ({"type": "table", "A": [0.0, -1.0, -2.0, -3.0]}, "'y'"),
+    ({"type": "table", "y": [0.0, 1.0, 2.0, 3.0]}, "'A'"),
+    ({"type": "expr", "domain": [-5, 5]}, "'A'"),
+    ("{not json", "PATH"),
+    ("[1, 2]", "PATH"),
+    (None, "PATH")])
+def test_exit_code_malformed_field_spec(tmp_path, capsys, spec, named):
+    """A spec with a missing or unknown key, a missing file and a file that
+    is not a JSON object are bad input (exit 3) with the key or the path
+    named, not a traceback."""
+    path = tmp_path / "field.json"
+    if spec is not None:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    assert main(["lambda", "--config", str(path)]) == 3
+    assert named.replace("PATH", str(path)) in capsys.readouterr().err
+
+
 def test_exit_code_unevaluable_expr_field(tmp_path, capsys):
     path = tmp_path / "floor.json"
     path.write_text(json.dumps({"type": "expr", "A": "-y - floor(y)"}))
@@ -334,3 +360,65 @@ def test_oracle_tree_command(capsys):
     rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == ["tau", "absorbed_mass", "F"]
     assert 0.0 < float(rows[-1][2]) <= 1.0
+
+
+def _cli_functions():
+    """Per function of the CLI module: the options it reads, as args.<dest>
+    or getattr(args, "<dest>") (a _MODEL_PARAMS lookup reads every model
+    parameter), and the module functions it calls."""
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    model_params = {k for names in cli._MODEL_PARAMS.values() for k in names}
+    reads, calls = {}, {}
+    for name, fn in defs.items():
+        reads[name], calls[name] = set(), set()
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads[name].add(node.attr)
+            elif isinstance(node, ast.Name) and node.id == "_MODEL_PARAMS":
+                reads[name] |= model_params
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if (node.func.id == "getattr" and len(node.args) >= 2
+                        and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id == "args"
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads[name].add(node.args[1].value)
+                elif node.func.id in defs:
+                    calls[name].add(node.func.id)
+    return reads, calls
+
+
+# echoes every option into the CSV header, so it reads all of them and
+# shows none of them to be used
+NOT_A_READER = {"_config_json"}
+
+
+def test_every_cli_option_is_read():
+    """Each option a subcommand declares is read by its cmd_* function or
+    by a helper that function calls."""
+    reads, calls = _cli_functions()
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, sp in subparsers.choices.items():
+        reached, todo = set(), [cli.COMMANDS[command].__name__]
+        while todo:
+            fn = todo.pop()
+            if fn not in reached and fn not in NOT_A_READER:
+                reached.add(fn)
+                todo += calls[fn]
+        read = set().union(*(reads[fn] for fn in reached))
+        unread += [f"{command} {a.dest}" for a in sp._actions
+                   if a.dest != "help" and a.dest not in read]
+    assert not unread
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--model", "tanh", "--parameterization", "ratio"],
+    ["pcf", "--s", "1", "--y", "0", "--zero", "1"],
+    ["lambda", "--seed", "1"]])
+def test_removed_options_are_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3

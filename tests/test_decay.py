@@ -269,12 +269,10 @@ def test_exact_tanh_rate_against_finite_differences(alpha):
 
 
 @pytest.mark.parametrize("params", [
-    {"parameterization": "bogus"},
-    {"gamma": 0.0}, {"gamma": -1.0}, {"alpha": 0.0}, {"alpha": -1.0, "gamma": -1.0},
-    {"gamma": 0.0, "parameterization": "ratio"}])
+    {"gamma": 0.0}, {"gamma": -1.0}, {"alpha": 0.0}, {"alpha": -1.0, "gamma": -1.0}])
 def test_tanh_parameters_rejected_like_builtin(params):
-    """lambda_exact resolves the tanh amplitude as `builtin` does, and
-    rejects the same parameters with InputError."""
+    """lambda_exact rejects the tanh parameters that `builtin` rejects,
+    with InputError."""
     with pytest.raises(InputError):
         fpt.lambda_exact("tanh", 0.0, **params)
     with pytest.raises(InputError):

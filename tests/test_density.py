@@ -48,7 +48,7 @@ def test_theta_fisher_dry_friction_warns(dry_friction):
 
 
 def test_theta_fisher_tanh(tanh2):
-    # alpha^2/(alpha+gamma^2) in the ratio parameterization = 4/3 here
+    # alpha^2 gamma/(alpha+gamma) for A = -alpha tanh(gamma y): 4/3 here
     assert fpt.theta_fisher(*tanh2) == pytest.approx(4.0 / 3.0, rel=1e-8)
     assert tanh2[1].fisher_theta == pytest.approx(4.0 / 3.0, rel=1e-14)
 
@@ -289,6 +289,17 @@ def test_lambda_source_selection(ou, tanh2):
     m2 = fpt.build_model(*tanh2, y0=-1.0, y_plus=1.0, model_name="tanh",
                          model_params={"alpha": 2.0, "gamma": 1.0})
     assert m2.lambda_source == "ratio-accelerated"
+
+
+def test_lambda_source_labels_only_a_given_rate(tanh2):
+    """A label without a rate is bad input (it used to label an estimate
+    "exact"); a given rate keeps its label, "user" by default."""
+    with pytest.raises(InputError, match="lambda_source"):
+        fpt.build_model(*tanh2, -1.0, 1.0, lambda_source="exact")
+    m = fpt.build_model(*tanh2, -1.0, 1.0, lam=0.5)
+    assert (m.lam, m.lambda_source) == (0.5, "user")
+    m = fpt.build_model(*tanh2, -1.0, 1.0, lam=0.5, lambda_source="mine")
+    assert m.lambda_source == "mine"
 
 
 # ----------------------------------------------------------------------

@@ -61,15 +61,6 @@ def test_builtin_closed_forms():
     assert im_abm.psi(1.3) == pytest.approx(np.exp(0.7 * 1.3), rel=1e-14)
 
 
-def test_tanh_parameterizations_map_onto_each_other():
-    # ratio(alpha, gamma) is amplitude(alpha/gamma, gamma)
-    ff_r, im_r = fpt.builtin("tanh", alpha=2.0, gamma=1.0, parameterization="ratio")
-    ff_a, im_a = fpt.builtin("tanh", alpha=2.0, gamma=1.0, parameterization="amplitude")
-    y = np.linspace(-3, 3, 11)
-    assert ff_r.A(y) == pytest.approx(ff_a.A(y), rel=1e-14)
-    assert im_r.fisher_theta == pytest.approx(im_a.fisher_theta, rel=1e-14)
-
-
 def test_psi_nonnegative_and_Psi_monotone():
     for name in ALL_BUILTINS:
         ff, im = _pair(name)
