@@ -16,7 +16,7 @@ from .oupcf import (pcf, rightmost_zero, hermite_leftmost_zero, ou_mean_regime,
 from .hseries import (HGrid, HTable, catalan_numbers, build_table, integrate_h,
                       CumulantSet, cumulants)
 from .decay import (DecayEstimate, ratio_sequence, aitken_A1, estimate_lambda,
-                    lambda_asymptotic, lambda_exact, tanh_eigenvalues)
+                    lambda_asymptotic, lambda_exact)
 from .density import (DensityModel, theta_fisher, nu_coefficient, build_model,
                       calibrate_rho, eval_density, log_density)
 from .oracle import (SolutionGrid, TreeResult, McResult, solve_pde, solve_tree,

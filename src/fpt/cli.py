@@ -39,15 +39,18 @@ _MODEL_PARAMS = {"ou": (), "dry_friction": ("mu",),
 
 def _config_json(args):
     """The `# config:` record of a CSV header, with sorted keys: the
-    command, model, out and config, the model parameters under
-    "params" and the other options under "options"."""
-    record = {"command": args.command, "model": getattr(args, "model", "ou"),
-              "out": args.out, "config": getattr(args, "config", None),
-              "params": {}, "options": {}}
+    command, model ("custom" for a --config field), out and config, the
+    builtin model parameters under "params" and the other options under
+    "options"."""
+    config = getattr(args, "config", None)
+    record = {"command": args.command,
+              "model": "custom" if config else getattr(args, "model", "ou"),
+              "out": args.out, "config": config, "params": {}, "options": {}}
     param_names = {k for names in _MODEL_PARAMS.values() for k in names}
     for k, v in vars(args).items():
         if k in param_names:
-            record["params"][k] = v
+            if not config:
+                record["params"][k] = v
         elif k not in record:
             record["options"][k] = v
     return json.dumps(record, sort_keys=True)
@@ -85,12 +88,17 @@ def _write_csv(path, args, columns, rows):
 
 
 def _field_from_args(args):
+    """The (field, measure) pair of a command, and the builtin model name
+    that selects its exact rate: None for a --config field."""
     if getattr(args, "config", None):
-        return load_field(args.config), "custom"
+        return load_field(args.config), None
     return builtin(args.model, **_model_params(args)), args.model
 
 
 def _model_params(args):
+    """The parameters of the builtin model; none for a --config field."""
+    if getattr(args, "config", None):
+        return {}
     return {k: getattr(args, k) for k in _MODEL_PARAMS[args.model]}
 
 
@@ -136,14 +144,15 @@ def cmd_pcf(args):
                [(args.s, args.y, _oupcf.pcf(args.s, args.y))])
 
 
-def _rate_rows(ff, im, name, args, barriers, exact):
+def _rate_rows(ff, im, barriers, exact_model, params):
     """(y_plus, estimated rate, exact rate or None, far-left and far-right
-    asymptotes) at each barrier, for the field a command built once."""
-    params = _model_params(args)
-    for yp in barriers:
-        est = _decay.estimate_lambda(ff, im, float(yp), r_max=args.rmax)
-        yield (yp, est.lam,
-               _decay._exact_or_none(name, float(yp), params) if exact else None,
+    asymptotes) at each barrier, for the field a command built once.  The
+    exact rate is that of the builtin `exact_model` with `params`, and
+    None where it has none or `exact_model` is None."""
+    for yp in map(float, barriers):
+        exact = (None if exact_model is None
+                 else _decay._exact_or_none(exact_model, yp, params))
+        yield (yp, _decay.estimate_lambda(ff, im, yp).lam, exact,
                _decay.lambda_asymptotic(im, yp, "far_left"),
                _decay.lambda_asymptotic(im, yp, "far_right"))
 
@@ -155,7 +164,8 @@ def cmd_lambda(args):
         barriers = np.linspace(a, b, n)
     else:
         barriers = [args.barrier]
-    rows = list(_rate_rows(ff, im, name, args, barriers, args.exact))
+    rows = list(_rate_rows(ff, im, barriers, name if args.exact else None,
+                           _model_params(args)))
     _write_csv(args.out, args,
                ["y_plus", "lambda_est", "lambda_exact",
                 "lambda_asym_left", "lambda_asym_right"], rows)
@@ -230,12 +240,8 @@ def cmd_oracle(args):
 
 
 def cmd_table1(args):
-    ff, im = builtin("ou")
-    rows = []
-    for yp in TABLE1_ROWS:
-        exact = _oupcf.rightmost_zero(yp)
-        est = _decay.estimate_lambda(ff, im, yp).lam
-        rows.append((yp, exact, est))
+    rows = [(yp, exact, est) for yp, est, exact, _, _ in
+            _rate_rows(*builtin("ou"), TABLE1_ROWS, "ou", {})]
     _write_csv(args.out, args, ["y_plus", "lambda_exact", "lambda_est"], rows)
 
 
@@ -243,7 +249,7 @@ def cmd_fig1(args):
     (ff, im), name = _field_from_args(args)
     a, b, n = _parse_sweep(args.sweep)
     rows = [("sweep", *row) for row in
-            _rate_rows(ff, im, name, args, np.linspace(a, b, n), exact=True)]
+            _rate_rows(ff, im, np.linspace(a, b, n), name, _model_params(args))]
     # orthogonal-polynomial zero markers, where the model has them
     if name == "ou":
         for order in range(1, 6):
@@ -253,9 +259,10 @@ def cmd_fig1(args):
     elif name == "tanh":
         # the n=1 level is the rate at its zero y_plus = 0 where it is bound,
         # and at alpha = 2 gamma, where it meets the branch point alpha^2/4
-        lam, bound = _decay.tanh_eigenvalues(args.alpha, args.gamma, 1)
-        if (bound[0] or args.alpha == 2.0 * args.gamma) and a <= 0.0 <= b:
-            rows.append(("marker", 0.0, None, lam[0], None, None))
+        if ((args.alpha / args.gamma > 2.0 or args.alpha == 2.0 * args.gamma)
+                and a <= 0.0 <= b):
+            lam = _decay.lambda_exact("tanh", 0.0, **_model_params(args))
+            rows.append(("marker", 0.0, None, lam, None, None))
     _write_csv(args.out, args,
                ["kind", "y_plus", "lambda_est", "lambda_exact",
                 "lambda_asym_left", "lambda_asym_right"], rows)
@@ -266,8 +273,8 @@ def cmd_validate(args):
     params = _model_params(args)
     barriers = _parse_list(args.barriers, "--barriers")
     offsets = _parse_list(args.offsets, "--offsets")
-    report = {"tool": f"fpt {__version__}", "model": name, "params": params,
-              "cases": []}
+    report = {"tool": f"fpt {__version__}", "model": name or "custom",
+              "params": params, "cases": []}
     curves = []
     for yp in barriers:
         built = []                    # (case, model) of each start that built
@@ -371,7 +378,6 @@ def build_parser():
     sp.add_argument("--barrier", type=float, default=0.0)
     sp.add_argument("--sweep", help="start:stop:count barrier sweep")
     sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--rmax", type=int, default=4)
     common(sp)
 
     sp = sub.add_parser("hseries", help="coefficient table as CSV")
@@ -421,7 +427,6 @@ def build_parser():
     sp = sub.add_parser("fig1", help="decay-rate sweep with asymptotes and markers")
     _add_model_args(sp)
     sp.add_argument("--sweep", default="-3:3:25")
-    sp.add_argument("--rmax", type=int, default=4)
     common(sp)
 
     sp = sub.add_parser("validate", help="formula vs PDE validation report")

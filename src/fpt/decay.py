@@ -10,11 +10,12 @@ which is exact whenever x_r = L + 1/(a + b*r).  The plain Aitken
 delta-squared, (A0 x)_r = x_r + d_r^2/(d_{r-1} - d_r), is exact when the
 differences are geometric instead.  On sequences that converge
 hyperbolically, such as the Catalan ratios of arithmetic Brownian motion,
-A0 undercorrects and A1 is exact.  For OU below equilibrium at r_max = 4
-the reverse holds: the ratios approach the rate from above, A1 overshoots
-it and A0 lands closer (A0 is 2.94% and A1 8.21% off at y_plus = -1;
-0.93% and 4.54% at y_plus = 0; from y_plus = 2 up both are within 0.15%).
-`estimate_lambda` uses A1 because it is the paper's method.
+A0 undercorrects and A1 is exact.  For OU below equilibrium on
+h_1..h_4 the reverse holds: the ratios approach the rate from above, A1
+overshoots it and A0 lands closer (A0 is 2.94% and A1 8.21% off at
+y_plus = -1; 0.93% and 4.54% at y_plus = 0; from y_plus = 2 up both are
+within 0.15%).  `estimate_lambda` uses A1 because it is the paper's
+method.
 
 Exact rates for the worked models (OU via parabolic-cylinder zeros,
 arithmetic Brownian motion, dry friction via a Lambert-W closed form of
@@ -40,8 +41,7 @@ from .forcefield import ForceField, InvariantMeasure, builtin
 from .hseries import HGrid, HTable, build_table
 
 __all__ = ["DecayEstimate", "ratio_sequence", "aitken_A1",
-           "estimate_lambda", "lambda_asymptotic", "lambda_exact",
-           "tanh_eigenvalues"]
+           "estimate_lambda", "lambda_asymptotic", "lambda_exact"]
 
 # entries where |d_{r-1} - d_r| falls below this multiple of eps*|x_r|
 # are numerically meaningless and are left nan
@@ -50,7 +50,7 @@ STABILITY_FACTOR = 1e3 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class DecayEstimate:
-    """The chosen rate: the first stable accelerated term."""
+    """The chosen rate: the accelerated term of h_1..h_4."""
 
     lam: float
 
@@ -67,7 +67,7 @@ def aitken_A1(x):
     """Hyperbolic variant:  x_r + d_r(d_r+d_{r-1})/(d_{r-1}-d_r).
     Exact when x_r = L + 1/(a + b*r); derived by requiring
     1/(x_r - L) to be in arithmetic progression.  The paper's accelerator,
-    used by `estimate_lambda`.  On the OU ratios at r_max = 4 below
+    used by `estimate_lambda`.  On the OU ratios of h_1..h_4 below
     equilibrium it overshoots the rate (8.21% off at y_plus = -1 and 4.54%
     at 0); from y_plus = 2 up it is within 0.15% of it."""
     x = np.asarray(x, float)
@@ -83,31 +83,28 @@ def aitken_A1(x):
     return vals, ok
 
 
-def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus,
-                    r_max: int = 4) -> DecayEstimate:
+def estimate_lambda(ff: ForceField, im: InvariantMeasure, y_plus) -> DecayEstimate:
     """Decay-rate estimate from the h-table ratio sequence.
 
-    Builds the table (grid Z=-10, step 1/32 up to y_plus), forms
-    the ratios, applies the hyperbolic accelerator, and returns the first
-    stable accelerated term.
+    Builds the table h_1..h_4 (grid Z=-10, step 1/32 up to y_plus), forms
+    the three ratios and returns their one hyperbolically accelerated
+    term; NumericsError when that term is unstable or negative.
 
-    Accuracy for OU at the default r_max=4: the returned term is within 5%
-    of the exact rate for y_plus >= 0 (4.5% at 0, under 0.1% from 2.25 to
-    3) but not below equilibrium, where the truncated sequence itself is
-    off by 8.2% at y_plus = -1 and 12.6% at -2.86.  On [-1, 3] the
-    march moves the term by at most 2.6e-4 relative from what the same
-    accelerator gives on exact coefficients.
+    Accuracy for OU: the returned term is within 5% of the exact rate for
+    y_plus >= 0 (4.5% at 0, under 0.1% from 2.25 to 3) but not below
+    equilibrium, where the truncated sequence itself is off by 8.2% at
+    y_plus = -1 and 12.6% at -2.86.  On [-1, 3] the march moves the term
+    by at most 2.6e-4 relative from what the same accelerator gives on
+    exact coefficients.
     """
-    if r_max < 4:
-        raise InputError("r_max >= 4 needed for one accelerated term")
     grid = HGrid(z_max=max(float(y_plus), HGrid.Z + 1.0) + 1e-9)
-    table = build_table(ff, im, grid, r_max)
+    table = build_table(ff, im, grid, 4)
     x = ratio_sequence(table, y_plus)
     accel, ok = aitken_A1(x)
-    if not np.any(ok):
+    if not ok[0]:
         raise NumericsError("no stable accelerated term; raw ratios: "
                             + np.array2string(x, precision=6))
-    lam = float(accel[np.argmax(ok)])
+    lam = float(accel[0])
     if lam < 0.0:
         raise NumericsError(
             f"accelerated estimate went negative ({lam:g}); ratios "
@@ -158,16 +155,6 @@ def _dry_friction_lambda(mu, y_plus):
     return lam
 
 
-def tanh_eigenvalues(alpha, gamma, n_max=8):
-    """Romanovski eigenvalue ladder lambda_n = n*gamma*(alpha - n*gamma)
-    for the drift -alpha*tanh(gamma*y); only levels with alpha/gamma > 2n
-    have a genuine polynomial behind them (the family is defective)."""
-    n = np.arange(1, n_max + 1)
-    lam = n * gamma * (alpha - n * gamma)
-    valid = alpha / gamma > 2.0 * n
-    return lam, valid
-
-
 def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0):
     """Exact decay rate for the worked models.
 
@@ -179,10 +166,10 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0):
                  Laplace transform in closed form via Lambert W, up to
                  mu*y_plus of about 708, where the rate underflows,
     tanh         only the boundary at the n=1 polynomial zero (y_plus = 0)
-                 is covered: the n=1 level gamma*(alpha-gamma) of
-                 `tanh_eigenvalues` where it is bound (alpha > 2 gamma),
-                 and the branch-point value alpha^2/4 otherwise, which
-                 equals it at alpha = 2 gamma; NumericsError elsewhere.
+                 is covered: the n=1 level gamma*(alpha-gamma) where it is
+                 bound (alpha > 2 gamma), and the branch-point value
+                 alpha^2/4 otherwise, which equals it at alpha = 2 gamma;
+                 NumericsError elsewhere.
 
     The model and its parameters are checked by `builtin(model, ...)`: an
     unknown model, or one it rejects, raises InputError as there.
@@ -199,14 +186,14 @@ def lambda_exact(model, y_plus, mu=1.0, alpha=2.0, gamma=1.0):
         raise NumericsError(
             "no polynomial eigenvalue available: the n=1 Romanovski zero "
             "sits at y_plus = 0 and higher levels are out of scope")
-    lam, bound = tanh_eigenvalues(alpha, gamma, 1)
-    return float(lam[0]) if bound[0] else alpha * alpha / 4.0
+    return gamma * (alpha - gamma) if alpha / gamma > 2.0 else alpha * alpha / 4.0
 
 
 def _exact_or_none(model, y_plus, params):
     """`lambda_exact(model, y_plus, **params)`, or None where the model has
-    no exact rate at y_plus."""
+    no exact rate at y_plus.  An unknown model or parameter is bad input
+    and raises InputError as there."""
     try:
         return lambda_exact(model, y_plus, **params)
-    except (NumericsError, InputError):
+    except NumericsError:
         return None

@@ -316,10 +316,12 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
                 model_name=None, model_params=None) -> DensityModel:
     """Assemble and calibrate a DensityModel.
 
-    lam defaults to the exact rate when `model_name` identifies a solvable
-    model (ou, abm, dry_friction, and tanh at its polynomial-zero
-    boundary), falling back to the accelerated ratio-sequence estimate,
-    and `lambda_source` then names that route.  A given lam is labelled
+    lam defaults to the exact rate of the builtin `model_name` with
+    `model_params` where `lambda_exact` has one (ou, abm, dry_friction,
+    and tanh at its polynomial-zero boundary), and to the accelerated
+    ratio-sequence estimate elsewhere or without `model_name`;
+    `lambda_source` then names that route.  A model name or parameter that
+    `lambda_exact` rejects raises InputError.  A given lam is labelled
     `lambda_source` ("user" by default); a label without lam is bad input.
     theta defaults to the Fisher value.  rho is then calibrated by
     normalization; for theta = 0 (ABM) no calibration is needed.

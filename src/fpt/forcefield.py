@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
-import inspect
 import json
 import warnings
 
@@ -481,16 +480,19 @@ def load_field(source):
 
     Accepts a dict, a JSON string, or a path.  Formats:
 
-      {"type": "builtin", "name": "ou", ...params}
       {"type": "table", "y": [...], "A": [...], "domain": [lo, hi]}
       {"type": "expr", "A": "-y - 0.1*sin(y)", "domain": [lo, hi]}
+
+    A builtin model has no spec: `builtin` (the CLI's --model) loads it,
+    and its name is what selects its exact rate in `build_model`.
 
     Tabulated drifts use monotone-cubic interpolation in y, clamped to the
     end values outside the table.  Expression drifts are parsed with sympy
     over a real y so the derivative is exact; the Dirac delta of a jump
     counts as 0 in A', as for dry friction.  An expression whose A or A'
-    cannot be evaluated on the domain raises InputError, as do a missing or
-    unknown key (named), an unreadable path and text that is not JSON.
+    cannot be evaluated on the domain raises InputError, as do an unknown
+    type, a missing key (named), an unreadable path and text that is not
+    JSON.
     """
     if isinstance(source, dict):
         spec = source
@@ -512,13 +514,6 @@ def load_field(source):
             raise InputError(f"{where} is not a JSON object")
 
     kind = spec.get("type")
-    if kind == "builtin":
-        params = {k: v for k, v in spec.items() if k != "type"}
-        try:
-            inspect.signature(builtin).bind(**params)
-        except TypeError as exc:       # a missing "name" or an unknown key
-            raise InputError(f"builtin field spec: {exc}") from None
-        return builtin(**params)
 
     def required(key):
         if key not in spec:

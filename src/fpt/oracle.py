@@ -408,15 +408,14 @@ def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
 # comparison helpers
 # ----------------------------------------------------------------------
 
-def kolmogorov_distance(samples, tau_grid, F_grid, n_paths=None):
+def kolmogorov_distance(samples, tau_grid, F_grid, n_paths):
     """sup_t |F_empirical(t) - F_reference(t)| on the reference grid.
 
-    `n_paths` lets censored paths count as not-yet-hit mass; defaults to
-    len(samples).
+    `samples` are the hit times of `n_paths` paths; the censored ones count
+    as not-yet-hit mass.
     """
     samples = np.sort(np.asarray(samples, float))
-    n = len(samples) if n_paths is None else int(n_paths)
-    emp = np.searchsorted(samples, tau_grid, side="right") / n
+    emp = np.searchsorted(samples, tau_grid, side="right") / int(n_paths)
     return float(np.max(np.abs(emp - np.asarray(F_grid, float))))
 
 

@@ -81,7 +81,7 @@ def test_c02_accelerated_estimate_within_5pct():
     grid = np.linspace(-1.0, 3.0, 17)
     rows = []
     for yp in grid:
-        est = fpt.estimate_lambda(ff, im, float(yp), r_max=4).lam
+        est = fpt.estimate_lambda(ff, im, float(yp)).lam
         exact = fpt.rightmost_zero(float(yp))
         rows.append((float(yp), est, exact))
     elapsed = time.time() - t0

@@ -152,8 +152,7 @@ def test_rate_tables_reproduce_out_references(capsys, ref):
     cfg = json.loads(text.splitlines()[2].removeprefix("# config: "))
     argv = [cfg["command"]]
     if cfg["command"] == "fig1":
-        argv += ["--model", cfg["model"], "--sweep=" + cfg["options"]["sweep"],
-                 "--rmax", str(cfg["options"]["rmax"])]
+        argv += ["--model", cfg["model"], "--sweep=" + cfg["options"]["sweep"]]
         argv += [f"--{k}={v}" for k, v in cfg["params"].items()]
     code, out = run(capsys, *argv)
     assert code == 0
@@ -180,6 +179,19 @@ def test_fig1_markers(capsys):
     # Hermite zeros at 0, -1, -sqrt(3) fall inside [-2, 1]
     assert len(markers) == 3
     assert sorted(float(m[3]) for m in markers) == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("alpha, marker", [("3", [2.0]), ("2", [1.0]),
+                                           ("1.5", [])])
+def test_fig1_tanh_marker(capsys, alpha, marker):
+    # the n=1 level gamma*(alpha - gamma) at y_plus = 0 where it is bound,
+    # or where it meets the branch point alpha^2/4 (alpha = 2 gamma)
+    code, out = run(capsys, "fig1", "--model", "tanh", "--alpha", alpha,
+                    "--sweep=-1:1:3")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert [(float(r[1]), float(r[3])) for r in rows if r[0] == "marker"] == [
+        (0.0, lam) for lam in marker]
 
 
 def test_validate_report(tmp_path, capsys):
@@ -278,19 +290,17 @@ def test_exit_code_numeric_failure(capsys):
 
 
 @pytest.mark.parametrize("spec, named", [
-    ({"type": "builtin", "mu": 1.0}, "'name'"),
-    ({"type": "builtin", "name": "ou", "sigma": 1.0}, "'sigma'"),
-    ({"type": "builtin", "name": "tanh", "parameterization": "ratio"},
-     "'parameterization'"),
+    ('{"type": "builtin", "name": "ou"}', "'builtin'"),
+    ("{not json", "PATH"),
+    ("[1, 2]", "PATH"),
     ({"type": "table", "A": [0.0, -1.0, -2.0, -3.0]}, "'y'"),
     ({"type": "table", "y": [0.0, 1.0, 2.0, 3.0]}, "'A'"),
     ({"type": "expr", "domain": [-5, 5]}, "'A'"),
-    ("{not json", "PATH"),
-    ("[1, 2]", "PATH"),
     (None, "PATH")])
 def test_exit_code_malformed_field_spec(tmp_path, capsys, spec, named):
-    """A spec with a missing or unknown key, a missing file and a file that
-    is not a JSON object are bad input (exit 3) with the key or the path
+    """A spec of an unknown type (a builtin is named by --model, not by a
+    spec) or with a missing key, a missing file and a file that is not a
+    JSON object are bad input (exit 3) with the type, the key or the path
     named, not a traceback."""
     path = tmp_path / "field.json"
     if spec is not None:
@@ -316,6 +326,21 @@ def test_custom_field_config(tmp_path, capsys):
     assert code == 0
     est = float([l for l in out.splitlines() if not l.startswith("#")][1].split(",")[1])
     assert est == pytest.approx(0.9546, rel=5e-3)   # tabulated OU drift
+
+
+def test_config_record_names_custom_field(tmp_path, capsys):
+    """A --config field is recorded as "custom" with no builtin parameters,
+    whatever --model says, and has no exact rate."""
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"type": "expr", "A": "-2*tanh(y)"}))
+    code, out = run(capsys, "lambda", "--config", str(path), "--model", "tanh",
+                    "--alpha", "3", "--barrier", "0", "--exact")
+    assert code == 0
+    lines = out.splitlines()
+    cfg = json.loads(lines[2].removeprefix("# config: "))
+    assert (cfg["model"], cfg["params"], cfg["config"]) == ("custom", {}, str(path))
+    assert set(cfg["options"]) == {"barrier", "exact", "sweep"}
+    assert lines[4].split(",")[2] == ""
 
 
 def test_density_with_custom_config_field(tmp_path, capsys):
@@ -417,7 +442,9 @@ def test_every_cli_option_is_read():
 @pytest.mark.parametrize("argv", [
     ["lambda", "--model", "tanh", "--parameterization", "ratio"],
     ["pcf", "--s", "1", "--y", "0", "--zero", "1"],
-    ["lambda", "--seed", "1"]])
+    ["lambda", "--seed", "1"],
+    ["lambda", "--rmax", "6"],
+    ["fig1", "--rmax", "6"]])
 def test_removed_options_are_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

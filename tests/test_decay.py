@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import fpt
-from fpt.decay import STABILITY_FACTOR, tanh_eigenvalues
+from fpt.decay import STABILITY_FACTOR
 from fpt.errors import InputError, NumericsError
 
 
@@ -128,11 +128,6 @@ def test_estimate_abm_is_quarter_mu_squared(abm):
 def test_estimate_dry_friction_plateau(dry_friction):
     est = fpt.estimate_lambda(*dry_friction, y_plus=0.5)
     assert est.lam == pytest.approx(0.25, rel=0.05)
-
-
-def test_estimate_requires_depth(ou):
-    with pytest.raises(InputError):
-        fpt.estimate_lambda(*ou, y_plus=0.0, r_max=3)
 
 
 @pytest.mark.parametrize("name,params,noise", [
@@ -277,14 +272,6 @@ def test_tanh_parameters_rejected_like_builtin(params):
         fpt.lambda_exact("tanh", 0.0, **params)
     with pytest.raises(InputError):
         fpt.builtin("tanh", **params)
-
-
-def test_tanh_eigenvalue_ladder():
-    lam, valid = tanh_eigenvalues(5.0, 1.0, n_max=4)
-    # lambda_{n+1} - lambda_n = gamma(alpha-gamma) - 2 gamma^2 n
-    for n in range(1, 4):
-        assert lam[n] - lam[n - 1] == pytest.approx(1.0 * (5.0 - 1.0) - 2.0 * n)
-    assert valid.tolist() == [True, True, False, False]
 
 
 def test_estimator_tracks_exact_ou_right_of_equilibrium(ou):

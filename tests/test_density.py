@@ -302,6 +302,16 @@ def test_lambda_source_labels_only_a_given_rate(tanh2):
     assert m.lambda_source == "mine"
 
 
+def test_unknown_model_or_parameter_is_bad_input(ou):
+    """A model name or parameter that `lambda_exact` rejects is bad input,
+    not a silent fall-back to the estimated rate (0.38290 and 1.8949)."""
+    with pytest.raises(InputError):
+        fpt.build_model(*ou, -1.0, 1.0, model_name="Ou")
+    with pytest.raises(InputError):
+        fpt.build_model(*fpt.builtin("tanh", alpha=3.0), -1.0, 0.0,
+                        model_name="tanh", model_params={"alpha": -3.0})
+
+
 # ----------------------------------------------------------------------
 # exact special cases
 # ----------------------------------------------------------------------

@@ -175,11 +175,6 @@ def test_classify_slow_field_not_in_S():
 # JSON loading
 # ----------------------------------------------------------------------
 
-def test_load_builtin_json():
-    (ff, im) = fpt.load_field({"type": "builtin", "name": "dry_friction", "mu": 2.0})
-    assert ff.A(1.0) == -2.0
-
-
 def test_load_table_field(tmp_path):
     y = np.linspace(-12, 12, 97)
     spec = {"type": "table", "y": y.tolist(), "A": (-y).tolist(),
