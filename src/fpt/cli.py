@@ -40,18 +40,17 @@ _MODEL_PARAMS = {"ou": (), "dry_friction": ("mu",),
 def _config_json(args):
     """The `# config:` record of a CSV header, with sorted keys: the
     command, model ("custom" for a --config field), out and config, the
-    builtin model parameters under "params" and the other options under
-    "options"."""
+    parameters the builtin model takes under "params" and the options
+    that are not model parameters under "options"."""
     config = getattr(args, "config", None)
     record = {"command": args.command,
               "model": "custom" if config else getattr(args, "model", "ou"),
-              "out": args.out, "config": config, "params": {}, "options": {}}
+              "out": args.out, "config": config,
+              "params": _model_params(args) if hasattr(args, "model") else {},
+              "options": {}}
     param_names = {k for names in _MODEL_PARAMS.values() for k in names}
     for k, v in vars(args).items():
-        if k in param_names:
-            if not config:
-                record["params"][k] = v
-        elif k not in record:
+        if k not in param_names and k not in record:
             record["options"][k] = v
     return json.dumps(record, sort_keys=True)
 
@@ -404,7 +403,9 @@ def build_parser():
     sp.add_argument("--validate", action="store_true",
                     help="add PDE reference columns")
     sp.add_argument("--dy", type=float, default=1.0 / 200.0)
-    sp.add_argument("--dtau", type=float, default=1e-3)
+    sp.add_argument("--dtau", type=float, default=1e-3,
+                    help="scale of the PDE's graded time steps: dtau/10 "
+                         "at first, growing to 5 dtau")
     common(sp)
 
     sp = sub.add_parser("oracle", help="numerical ground truth")
@@ -414,7 +415,9 @@ def build_parser():
     sp.add_argument("--barrier", type=float, required=True)
     sp.add_argument("--tmax", type=float, default=20.0)
     sp.add_argument("--dy", type=float, default=1.0 / 200.0)
-    sp.add_argument("--dtau", type=float, default=1e-3)
+    sp.add_argument("--dtau", type=float, default=1e-3,
+                    help="pde: scale of the graded time steps (dtau/10 at "
+                         "first, growing to 5 dtau); tree: the uniform step")
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--no-bridge", action="store_true")

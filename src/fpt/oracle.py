@@ -8,10 +8,12 @@ analytic modules:
               recorded at every step at the requested starting points
               only.  The density is read off the spatial operator
               f = A F_y + F_yy (smooth; no O(dtau) differencing noise near
-              tau = 0).  It steps the symmetrized operator D L D^-1,
-              factored once by dpttrf, as G <- 2 K^-1 (G + b) - G: one
-              dpttrs solve per step, in blocks of 32 steps that are
-              checked against [0, 1] and read at the probes at once.
+              tau = 0).  It steps the symmetrized operator D L D^-1 as
+              G <- 2 K^-1 (G + b) - G: one dpttrs solve per step, in
+              blocks of 32 steps that are checked against [0, 1] and read
+              at the probes at once.  The step is graded: dtau/10 in the
+              first block, 1.01^32 times larger in each later one, up to
+              5 dtau, with one dpttrf per block while it grows.
               Its domain (finite A, cell Peclet number below 1, scaling
               within e^460) is checked up front and InputError names the
               knob to turn (dy or y_min).
@@ -44,7 +46,7 @@ class SolutionGrid:
     `solve_pde`'s `probe_y`, each read at the grid node it snaps to."""
 
     y_nodes: np.ndarray
-    probe_tau: np.ndarray             # shape (n_steps + 1,)
+    probe_tau: np.ndarray             # graded step ends, shape (n_steps + 1,)
     probe_F: np.ndarray               # shape (n_probe, n_steps + 1)
     probe_f: np.ndarray
 
@@ -97,18 +99,54 @@ _MAX_LOG_SCALE = 460.0
 # them at once
 _BLOCK = 32
 
+# the graded time steps of solve_pde, constant within a block: the first
+# block steps _START * dtau, each later block _GROWTH times the step of the
+# one before, up to _CAP * dtau
+_START = 0.1
+_GROWTH = 1.01 ** _BLOCK
+_CAP = 5.0
+
+
+def _time_steps(dtau, tau_max):
+    """The step of each of solve_pde's steps, and the nodes tau_0 = 0 <
+    tau_1 < ... < tau_N they reach, with tau_{N-1} < tau_max <= tau_N: the
+    grid ends at the first node at or past tau_max, so its last block may
+    be partial.  Each node is the running sum of the steps before it."""
+    sizes, step, span = [], _START * dtau, 0.0
+    while span < tau_max:
+        sizes.append(step)
+        span += _BLOCK * step
+        step = min(step * _GROWTH, _CAP * dtau)
+    # one block more, so that rounding in the running sum cannot leave the
+    # last node short of tau_max
+    sizes.append(step)
+    steps = np.repeat(sizes, _BLOCK)
+    tau = np.concatenate(([0.0], np.cumsum(steps)))
+    n_steps = int(np.searchsorted(tau, tau_max))
+    return steps[:n_steps], tau[:n_steps + 1]
+
 
 def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
               tau_max=20.0, probe_y=()) -> SolutionGrid:
-    """Crank-Nicolson with Rannacher start-up, read at the probes.
+    """Crank-Nicolson on graded time steps with Rannacher start-up, read
+    at the probes.
 
     `probe_y` names the starting points whose F and f are recorded at
     every step; at least one is required, each strictly inside
     (y_min, y_plus), and the full field is never stored.
 
-    The first two steps are replaced by four backward-Euler half steps to
-    damp the ringing CN produces from the discontinuous initial data at
-    the absorbing boundary; global second-order accuracy survives.
+    `dtau` sets the scale of the time steps.  The step is constant within
+    each block of _BLOCK steps: dtau/10 in the first block, then 1.01^32
+    (about 1.375) times the previous block's step, up to 5 dtau.  Small
+    steps resolve the fast start; after it the solution is smooth and
+    decays like e^(-lambda tau), so the step can grow geometrically, as
+    step-size control would let it (Hairer, Norsett & Wanner, Solving
+    ODEs I, sec. II.4).  The grid `probe_tau` is the
+    running sum of the steps and ends at the first node at or past
+    tau_max.  The first two steps are replaced by four backward-Euler half
+    steps to damp the ringing CN produces from the discontinuous initial
+    data at the absorbing boundary (Rannacher, Numer. Math. 43, 1984);
+    global second-order accuracy survives.
     The far field is truncated with a Dirichlet zero at y_min
     (default y_plus - 12, where the hitting probability is negligible for
     every built-in field).
@@ -117,13 +155,14 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     l_i = 1/h^2 - A_i/(2h) and super-diagonal u_i = 1/h^2 + A_i/(2h).  The
     diagonal scaling D with D_{i+1}/D_i = sqrt(u_i / l_{i+1}), normalized
     to max D = 1, makes S = D L D^-1 symmetric with off-diagonal
-    sqrt(u_i l_{i+1}), so K = I - (dtau/2) S is symmetric positive
-    definite.  LAPACK factors K once (dpttrf) and the solver carries
-    G = D F.  With I + (dtau/2) S = 2I - K, a CN step is
-    G <- 2 K^-1 (G + b) - G and a backward-Euler half step is
+    sqrt(u_i l_{i+1}), so for a step k the matrix K = I - (k/2) S is
+    symmetric positive definite.  LAPACK factors K (dpttrf) once per
+    block while the step grows, and the capped step's factors serve every
+    later block; the solver carries G = D F.  With I + (k/2) S = 2I - K, a
+    CN step is G <- 2 K^-1 (G + b) - G and a backward-Euler half step is
     G <- K^-1 (G + b): one in-place dpttrs solve each, where b is zero
     except on the last row, which carries the boundary value F = 1 as
-    D_{M-1} (dtau/2) u_{M-1}; the CN solve uses the factors of K / 2, so
+    D_{M-1} (k/2) u_{M-1}; the CN solve uses the factors of K / 2, so
     its dpttrs returns 2 K^-1 (G + b) directly.
 
     Steps run in blocks of _BLOCK, each solved into its own row of a
@@ -180,17 +219,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
             f"e^{_MAX_LOG_SCALE:.0f}), smallest at y = {y[k + 1]:.6g}; "
             f"move y_min = {y_min:g} closer to y_plus")
     d_inv = np.exp(-log_d)
-    half = 0.5 * dtau
-
-    # one factorization serves both schemes: CN with step dtau and
-    # backward Euler with step dtau/2 share the matrix K
-    k_diag, k_off, info = lapack.dpttrf(
-        np.full(M - 1, 1.0 + half * 2.0 / h**2),
-        -half * np.sqrt(upper[:-1] * lower[1:]))
-    if info != 0:
-        raise NumericsError(f"PDE step matrix is not positive definite "
-                            f"(dpttrf info {info})")
-    b = np.exp(log_d[-1]) * half * upper[-1]
+    sym_off = np.sqrt(upper[:-1] * lower[1:])
 
     probe_idx = []
     for yp in probe_y:
@@ -204,7 +233,8 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     stencil = np.array([(i - 1, i, i + 1) for i in probe_idx],
                        dtype=np.intp).reshape(-1)
 
-    n_steps = int(round(tau_max / dtau))
+    steps, tau = _time_steps(dtau, tau_max)
+    n_steps = len(steps)
     reads = np.zeros((n_steps + 1, stencil.size))
     # the interior column of each stencil node; the boundary nodes 0 and M
     # read F = 0 and F = 1 instead
@@ -218,12 +248,24 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     block = np.zeros((_BLOCK + 1, M - 1))
     rows = list(block)
     rhs = np.zeros(M - 1)
-    rhs[-1] = b
-    cn_diag = 0.5 * k_diag
+    factored = None
     # steps past a failing one may overflow or turn NaN; the check raises
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, _BLOCK):
             n = min(_BLOCK, n_steps + 1 - first)
+            if steps[first - 1] != factored:
+                # one factorization serves both schemes: CN with step k
+                # and backward Euler with step k/2 share the matrix K
+                factored = steps[first - 1]
+                half = 0.5 * factored
+                k_diag, k_off, info = lapack.dpttrf(
+                    np.full(M - 1, 1.0 + half * 2.0 / h**2), -half * sym_off)
+                if info != 0:
+                    raise NumericsError(
+                        f"PDE step matrix is not positive definite "
+                        f"(dpttrf info {info})")
+                cn_diag = 0.5 * k_diag
+                rhs[-1] = np.exp(log_d[-1]) * half * upper[-1]
             for j in range(1, n + 1):
                 cur, nxt = rows[j - 1], rows[j]
                 np.add(cur, rhs, out=nxt)
@@ -256,7 +298,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
     Ai = Ay[probe_idx][:, None]
     return SolutionGrid(
-        y_nodes=y, probe_tau=dtau * np.arange(n_steps + 1), probe_F=F0,
+        y_nodes=y, probe_tau=tau, probe_F=F0,
         probe_f=Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2)
 
 

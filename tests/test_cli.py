@@ -45,6 +45,16 @@ def test_csv_headers_echo_parameters(capsys):
     assert echoed["command"] == "lambda"
 
 
+@pytest.mark.parametrize("model, params", [
+    ("ou", {}), ("dry_friction", {"mu": 1.0}),
+    ("tanh", {"alpha": 2.0, "gamma": 1.0})])
+def test_config_record_holds_only_the_model_parameters(capsys, model, params):
+    _, out = run(capsys, "fig1", "--model", model, "--sweep=0:1:2")
+    cfg = json.loads(out.splitlines()[2].removeprefix("# config: "))
+    assert cfg["params"] == params
+    assert set(cfg["options"]) == {"sweep"}
+
+
 def test_lambda_sweep_columns(capsys):
     code, out = run(capsys, "lambda", "--model", "ou", "--sweep", "0:1:3",
                     "--exact")

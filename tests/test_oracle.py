@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import linalg, special
 from scipy.linalg import lapack
 
 import fpt
 from fpt.errors import InputError, NumericsError
+from fpt.oracle import _CAP, _time_steps
 
 
 def _invgauss(tau, b, mu):
@@ -169,9 +170,10 @@ def test_pde_rejects_scaling_beyond_double_range():
     assert 0.999 < g.probe_F[0, -1] <= 1.0 + 1e-6
 
 
-def _dense_cn(ff, y_plus, y0, dy, dtau, n_steps):
+def _dense_cn(ff, y_plus, y0, dy, steps):
     """Non-symmetric Crank-Nicolson with the same Rannacher start-up,
-    stepped through dense numpy.linalg.solve: F and f at y0."""
+    stepped through dense numpy.linalg.solve on the time steps `steps`:
+    F and f at y0."""
     M = int(round(12.0 / dy))
     y = y_plus - 12.0 + 12.0 * np.arange(M + 1) / M
     h = 12.0 / M
@@ -179,16 +181,21 @@ def _dense_cn(ff, y_plus, y0, dy, dtau, n_steps):
     L = (np.diag(np.full(M - 1, -2.0 / h**2))
          + np.diag(1.0 / h**2 - A[1:] / (2 * h), -1)
          + np.diag(1.0 / h**2 + A[:-1] / (2 * h), 1))
-    bc = np.zeros(M - 1)
-    bc[-1] = (1.0 / h**2 + A[-1] / (2 * h)) * dtau / 2
     eye = np.eye(M - 1)
-    implicit = eye - dtau / 2 * L
-    be = np.linalg.solve(implicit, np.column_stack([eye, bc]))
-    cn = np.linalg.solve(implicit, np.column_stack([eye + dtau / 2 * L, 2 * bc]))
+    propagators = {}              # step -> (backward Euler half, CN)
+    for k in np.unique(steps):
+        bc = np.zeros(M - 1)
+        bc[-1] = (1.0 / h**2 + A[-1] / (2 * h)) * k / 2
+        implicit = eye - k / 2 * L
+        propagators[k] = (
+            np.linalg.solve(implicit, np.column_stack([eye, bc])),
+            np.linalg.solve(implicit,
+                            np.column_stack([eye + k / 2 * L, 2 * bc])))
     F = np.zeros(M - 1)
     i = int(round((y0 - y[0]) / h)) - 1
     out = [F[i - 1:i + 2]]
-    for step in range(1, n_steps + 1):
+    for step, k in enumerate(steps, start=1):
+        be, cn = propagators[k]
         for P in ((be, be) if step <= 2 else (cn,)):
             F = P[:, :-1] @ F + P[:, -1]
         out.append(F[i - 1:i + 2])
@@ -197,10 +204,11 @@ def _dense_cn(ff, y_plus, y0, dy, dtau, n_steps):
     return F0, Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
 
 
-def _stepwise_cn(ff, y_plus, probe_y, dy, dtau, n_steps):
-    """solve_pde's symmetric scheme stepped one step at a time: each step
-    solves with K, doubles and subtracts, forms F = G / D on the full grid,
-    checks it and reads the probe stencils.  F and f at each probe."""
+def _stepwise_cn(ff, y_plus, probe_y, dy, steps):
+    """solve_pde's symmetric scheme stepped one step at a time on the time
+    steps `steps`: each step factors K for its own step, solves with it,
+    doubles and subtracts, forms F = G / D on the full grid, checks it and
+    reads the probe stencils.  F and f at each probe."""
     y_min = y_plus - 12.0
     M = int(round((y_plus - y_min) / dy))
     y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
@@ -212,21 +220,21 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, dtau, n_steps):
         ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
     log_d -= log_d.max()
     d_inv = np.exp(-log_d)
-    half = 0.5 * dtau
-    k_diag, k_off, _ = lapack.dpttrf(
-        np.full(M - 1, 1.0 + half * 2.0 / h**2),
-        -half * np.sqrt(upper[:-1] * lower[1:]))
-    b = np.exp(log_d[-1]) * half * upper[-1]
     idx = [int(round((yp - y_min) / h)) for yp in probe_y]
     stencil = np.array([(i - 1, i, i + 1) for i in idx]).reshape(-1)
 
-    reads = np.zeros((n_steps + 1, stencil.size))
+    reads = np.zeros((len(steps) + 1, stencil.size))
     cur = np.zeros(M - 1)
     nxt = np.empty(M - 1)
     profile = np.zeros(M + 1)
     profile[-1] = 1.0
     F = profile[1:M]
-    for step in range(1, n_steps + 1):
+    for step, k in enumerate(steps, start=1):
+        half = 0.5 * k
+        k_diag, k_off, _ = lapack.dpttrf(
+            np.full(M - 1, 1.0 + half * 2.0 / h**2),
+            -half * np.sqrt(upper[:-1] * lower[1:]))
+        b = np.exp(log_d[-1]) * half * upper[-1]
         startup = step <= 2
         for _ in range(2 if startup else 1):
             nxt[:] = cur
@@ -244,20 +252,45 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, dtau, n_steps):
     return F0, Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69])
+def test_time_steps_are_graded():
+    """dtau/10 in the first block, 1.01^32 times larger in each later
+    block up to 5 dtau, and the grid ends at the first node at or past
+    tau_max."""
+    dtau = 1e-3
+    steps, tau = _time_steps(dtau, 20.0)
+    blocks = steps[::32]
+    assert np.all(steps == np.repeat(blocks, 32)[:len(steps)])
+    assert blocks[0] == 0.1 * dtau
+    growing = blocks[blocks < _CAP * dtau]
+    assert np.allclose(growing[1:] / growing[:-1], 1.01**32, rtol=1e-12)
+    assert len(growing) == 13 and np.all(blocks[13:] == _CAP * dtau)
+    assert np.array_equal(tau, np.concatenate(([0.0], np.cumsum(steps))))
+    assert tau[-2] < 20.0 <= tau[-1] and len(steps) == 4311
+    # a tau_max on a node ends the grid there
+    for n in (1, 33, 4000):
+        assert len(_time_steps(dtau, tau[n])[0]) == n
+
+
+# n_steps = 33 takes the first larger step, 417 the first capped one and
+# 449 the first block that reuses the capped step's factors
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69, 417, 449])
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
 def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
     """Stepping in blocks reads the same bits as stepping one step at a
-    time: around block edges, at the probes next to the boundaries (their
-    stencils read F = 0 and F = 1), and with several probes in one call."""
+    time: around block edges and step changes, at the probes next to the
+    boundaries (their stencils read F = 0 and F = 1), and with several
+    probes in one call."""
     ff, _ = request.getfixturevalue(field)
     dy, dtau, M = 1 / 50, 5e-3, 600
+    steps, tau = _time_steps(dtau, n_steps * _CAP * dtau)
+    steps, tau = steps[:n_steps], tau[:n_steps + 1]
     nodes = -11.0 + 12.0 * np.arange(M + 1) / M
     for probes in [(nodes[1],), (nodes[M - 1],),
                    (nodes[1], -1.0, 0.5, nodes[M - 1])]:
-        g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau,
-                          tau_max=n_steps * dtau, probe_y=probes)
-        F_ref, f_ref = _stepwise_cn(ff, 1.0, probes, dy, dtau, n_steps)
+        g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=tau[-1],
+                          probe_y=probes)
+        F_ref, f_ref = _stepwise_cn(ff, 1.0, probes, dy, steps)
+        assert np.array_equal(g.probe_tau, tau)
         assert g.probe_F.shape == (len(probes), n_steps + 1)
         assert np.array_equal(g.probe_F, F_ref)
         assert np.array_equal(g.probe_f, f_ref)
@@ -265,13 +298,68 @@ def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
 
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
 def test_pde_matches_dense_nonsymmetric_cn(field, request):
+    # tau_max = 4 runs 14 step sizes, the capped one included
     ff, _ = request.getfixturevalue(field)
-    dy, dtau, n_steps = 1 / 50, 5e-3, 400
-    g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=n_steps * dtau,
+    dy, dtau, tau_max = 1 / 50, 5e-3, 4.0
+    g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=tau_max,
                       probe_y=(-1.0,))
-    F_ref, f_ref = _dense_cn(ff, 1.0, -1.0, dy, dtau, n_steps)
+    steps, _ = _time_steps(dtau, tau_max)
+    F_ref, f_ref = _dense_cn(ff, 1.0, -1.0, dy, steps)
     assert np.max(np.abs(g.probe_F[0] - F_ref)) < 1e-12
     assert np.max(np.abs(g.probe_f[0] - f_ref)) < 1e-9
+
+
+def _exact_in_time(ff, y_plus, probe_y, dy, tau):
+    """F at the probes from the semi-discrete system dF/dtau = L F + c of
+    solve_pde's grid, solved exactly in time: with the symmetric
+    S = D L D^-1 = V diag(w) V^T and the steady state L F_ss + c = 0,
+    F(tau) = F_ss + D^-1 V e^(w tau) V^T D (0 - F_ss)."""
+    y_min = y_plus - 12.0
+    M = int(round((y_plus - y_min) / dy))
+    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
+    h = (y_plus - y_min) / M
+    Ay = np.asarray(ff.A(y), float)
+    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
+    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
+    log_d = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
+    log_d -= log_d.max()
+    w, V = linalg.eigh_tridiagonal(np.full(M - 1, -2.0 / h**2),
+                                   np.sqrt(upper[:-1] * lower[1:]))
+    bands = np.zeros((3, M - 1))
+    bands[0, 1:] = upper[:-1]
+    bands[1] = -2.0 / h**2
+    bands[2, :-1] = lower[1:]
+    c = np.zeros(M - 1)
+    c[-1] = upper[-1]
+    F_ss = linalg.solve_banded((1, 1), bands, -c)
+    coef = V.T @ (np.exp(log_d) * -F_ss)
+    rows = [int(round((yp - y_min) / h)) - 1 for yp in probe_y]
+    modes = np.exp(np.outer(tau, w))
+    return (F_ss[rows][:, None] + np.exp(-log_d[rows])[:, None]
+            * (V[rows] * coef) @ modes.T)
+
+
+# sup |F - F_exact| over the probes of the former uniform steps,
+# dtau = 1e-3 (20 000 steps), each case's worst offset
+_UNIFORM_SUP_ERROR = {("ou", 1.0): 5.7e-6, ("ou", -1.0): 1.5e-5,
+                      ("tanh2", 1.0): 4.8e-6, ("tanh2", -1.0): 1.6e-5}
+
+
+@pytest.mark.parametrize("field, y_plus", list(_UNIFORM_SUP_ERROR))
+def test_pde_graded_steps_match_exact_time_integration(field, y_plus,
+                                                       request):
+    """The graded steps stay within 1e-5 of the semi-discrete system
+    solved exactly in time, at offsets 1, 2 and 4 below the barrier, and
+    no further from it than the uniform steps they replace."""
+    ff, _ = request.getfixturevalue(field)
+    probes = (y_plus - 1.0, y_plus - 2.0, y_plus - 4.0)
+    g = fpt.solve_pde(ff, y_plus, dy=1 / 200, dtau=1e-3, tau_max=20.0,
+                      probe_y=probes)
+    F_exact = _exact_in_time(ff, y_plus, probes, 1 / 200, g.probe_tau)
+    err = np.max(np.abs(g.probe_F - F_exact))
+    assert err < 1e-5
+    assert err <= _UNIFORM_SUP_ERROR[field, y_plus]
 
 
 # ----------------------------------------------------------------------
@@ -359,12 +447,14 @@ def test_mc_bridge_reduces_discretization_bias(ou):
     ff, _ = ou
     g = fpt.solve_pde(ff, 1.0, dy=1 / 200, dtau=2e-3, tau_max=25.0,
                       probe_y=(0.0,))
+    # the sup runs over the sampler's step ends, where its hits lie
+    tau = 5e-3 * np.arange(1, 5001)
+    F = np.interp(tau, g.probe_tau, g.probe_F[0])
     ks = {}
     for bridge in (True, False):
         res = fpt.simulate(ff, 1.0, 0.0, dt=5e-3, n_paths=120_000,
                            tau_max=25.0, bridge=bridge, seed=9)
-        ks[bridge] = fpt.kolmogorov_distance(res.samples, g.probe_tau[1:],
-                                             g.probe_F[0][1:],
+        ks[bridge] = fpt.kolmogorov_distance(res.samples, tau, F,
                                              n_paths=res.n_paths)
     assert ks[True] < ks[False]
     assert ks[True] < 0.02
