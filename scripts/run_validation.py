@@ -2,7 +2,7 @@
 """Full density-vs-PDE validation sweep for the three worked models.
 
 Writes out/validate_<model>.json plus companion *_curves.csv files and
-prints a one-line summary per case.  Takes about 2.5 s on 2 CPUs.
+prints a one-line summary per case.  Takes about 1.6 s on 2 CPUs.
 """
 
 import json

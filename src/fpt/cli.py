@@ -304,7 +304,7 @@ def cmd_validate(args):
                 case.update(
                     lam=model.lam, lambda_source=model.lambda_source,
                     theta=model.theta, nu=model.nu, rho=model.rho,
-                    tau_max=tmax,
+                    tau_max=tmax, pde_steps=len(tau),
                     l1=_oracle.l1_distance(tau, f_formula, f_pde),
                     sup=float(np.max(np.abs(f_formula - f_pde))),
                     normalization_residual=model.calibration_residual,
@@ -405,7 +405,7 @@ def build_parser():
     sp.add_argument("--dy", type=float, default=1.0 / 200.0)
     sp.add_argument("--dtau", type=float, default=1e-3,
                     help="scale of the PDE's graded time steps: dtau/10 "
-                         "at first, growing to 5 dtau")
+                         "at first, growing to 5 dtau / min(1, lambda_1)")
     common(sp)
 
     sp = sub.add_parser("oracle", help="numerical ground truth")
@@ -417,7 +417,8 @@ def build_parser():
     sp.add_argument("--dy", type=float, default=1.0 / 200.0)
     sp.add_argument("--dtau", type=float, default=1e-3,
                     help="pde: scale of the graded time steps (dtau/10 at "
-                         "first, growing to 5 dtau); tree: the uniform step")
+                         "first, growing to 5 dtau / min(1, lambda_1)); "
+                         "tree: the uniform step")
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--no-bridge", action="store_true")

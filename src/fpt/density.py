@@ -48,6 +48,12 @@ _THETA_PANELS = 32
 # _normalizer's mid and tail node counts and the w where its tail starts;
 # calibrate_rho's initial bracket, its doublings and the accepted residual
 _NORM_N_MID, _NORM_N_TAIL, _NORM_W_SPLIT = 400, 48, 0.05
+# the smallest lam/theta the tail rule serves: below it the 48-point
+# Gauss-Jacobi rule integrates its own weight, 2^a / a, with a relative
+# error above 1e-6 (8e-8 at a = 1e-11, 2e-5 at 1e-12), below 1e-13 its
+# first node rounds onto w = 0, and below 1.1e-16 its exponent a - 1
+# rounds to -1, which scipy refuses
+_NORM_MIN_A = 1e-11
 _RHO_BRACKET, _RHO_MAX_EXPAND, _RHO_TOL = 20.0, 5, 1e-10
 
 
@@ -209,7 +215,8 @@ def _normalizer(model: DensityModel):
            f/LS;
     tail   tau > T with w = e^{-theta tau} < 0.05:  f = w^{lam/theta}
            G(w)/... with G analytic at w = 0, so 48-point Gauss-Jacobi with
-           weight w^{lam/theta - 1} on [0, 0.05] is spectrally accurate.
+           weight w^{lam/theta - 1} on [0, 0.05] is spectrally accurate;
+           for lam/theta below 1e-11 it is not, and NumericsError is raised.
 
     Everything that does not depend on rho (the nodes, log psi(y_plus) -
     log psi(y0) and log f but for its rho term) is built here, once; each
@@ -222,6 +229,11 @@ def _normalizer(model: DensityModel):
 
     T = -np.log(_NORM_W_SPLIT) / th
     a = lam / th
+    if not a >= _NORM_MIN_A:
+        raise NumericsError(
+            f"lambda/theta = {lam:.3g}/{th:.3g} = {a:.3g} is below "
+            f"{_NORM_MIN_A:g}, where the tail's Gauss-Jacobi rule loses "
+            f"its accuracy")
     # tail: (1/theta) int_0^wsplit w^(a-1) G(w) dw,  G = f * e^{lam tau}
     xj, wj = special.roots_jacobi(_NORM_N_TAIL, 0.0, a - 1.0)
     w_nodes = (xj + 1.0) * (_NORM_W_SPLIT / 2.0)

@@ -13,7 +13,9 @@ analytic modules:
               blocks of 32 steps that are checked against [0, 1] and read
               at the probes at once.  The step is graded: dtau/10 in the
               first block, 1.01^32 times larger in each later one, up to
-              5 dtau, with one dpttrf per block while it grows.
+              5 dtau / min(1, lambda_1), with one dpttrf per block while it
+              grows; lambda_1 is the slowest decay rate of the grid's own
+              operator, so the capped step keeps k lambda_1 <= 5 dtau.
               Its domain (finite A, cell Peclet number below 1, scaling
               within e^460) is checked up front and InputError names the
               knob to turn (dy or y_min).
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import InputError, NumericsError
 from .forcefield import ForceField
@@ -101,22 +103,40 @@ _BLOCK = 32
 
 # the graded time steps of solve_pde, constant within a block: the first
 # block steps _START * dtau, each later block _GROWTH times the step of the
-# one before, up to _CAP * dtau
+# one before, up to _CAP * dtau / min(1, rate)
 _START = 0.1
 _GROWTH = 1.01 ** _BLOCK
 _CAP = 5.0
 
 
-def _time_steps(dtau, tau_max):
+def _slowest_rate(h, sym_off):
+    """lambda_1, the slowest decay rate of solve_pde's grid: minus the
+    largest eigenvalue of its symmetric operator S, whose diagonal is
+    -2/h^2 and whose off-diagonal is `sym_off`.  S is similar to L, and -L
+    is irreducibly diagonally dominant with positive diagonal and
+    non-positive off-diagonal, so lambda_1 > 0; the eigensolver resolves
+    it to about eps 4/h^2."""
+    n = len(sym_off) + 1
+    top = eigvalsh_tridiagonal(np.full(n, -2.0 / h**2), sym_off,
+                               select="i", select_range=(n - 1, n - 1))
+    return -float(top[0])
+
+
+def _time_steps(dtau, tau_max, rate):
     """The step of each of solve_pde's steps, and the nodes tau_0 = 0 <
     tau_1 < ... < tau_N they reach, with tau_{N-1} < tau_max <= tau_N: the
     grid ends at the first node at or past tau_max, so its last block may
-    be partial.  Each node is the running sum of the steps before it."""
+    be partial.  Each node is the running sum of the steps before it.
+    The cap _CAP * dtau / min(1, rate) keeps k rate <= _CAP * dtau for
+    the slowest decay rate `rate`; at rate >= 1 it is _CAP * dtau.  A rate
+    the eigensolver rounds to zero or below (a lambda_1 under about
+    eps 4/h^2, far out on the tail) leaves the step uncapped."""
+    cap = _CAP * dtau / min(1.0, rate) if rate > 0 else np.inf
     sizes, step, span = [], _START * dtau, 0.0
     while span < tau_max:
         sizes.append(step)
         span += _BLOCK * step
-        step = min(step * _GROWTH, _CAP * dtau)
+        step = min(step * _GROWTH, cap)
     # one block more, so that rounding in the running sum cannot leave the
     # last node short of tau_max
     sizes.append(step)
@@ -137,16 +157,21 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 
     `dtau` sets the scale of the time steps.  The step is constant within
     each block of _BLOCK steps: dtau/10 in the first block, then 1.01^32
-    (about 1.375) times the previous block's step, up to 5 dtau.  Small
-    steps resolve the fast start; after it the solution is smooth and
-    decays like e^(-lambda tau), so the step can grow geometrically, as
-    step-size control would let it (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. II.4).  The grid `probe_tau` is the
-    running sum of the steps and ends at the first node at or past
-    tau_max.  The first two steps are replaced by four backward-Euler half
-    steps to damp the ringing CN produces from the discontinuous initial
-    data at the absorbing boundary (Rannacher, Numer. Math. 43, 1984);
-    global second-order accuracy survives.
+    (about 1.375) times the previous block's step, up to 5 dtau /
+    min(1, lambda_1).  Small steps resolve the fast start; after it the
+    solution is smooth and decays like e^(-lambda_1 tau), so the step can
+    grow geometrically, as step-size control would let it (Hairer, Norsett
+    & Wanner, Solving ODEs I, sec. II.4).  CN's relative error on that
+    slowest mode grows like (k lambda_1)^2, so the cap keeps
+    k lambda_1 <= 5 dtau: a slowly decaying grid (lambda_1 < 1) takes
+    steps up to 5 dtau / lambda_1, and one with lambda_1 >= 1 steps at
+    most 5 dtau.  lambda_1 is minus the largest eigenvalue of the
+    symmetric S below (`eigvalsh_tridiagonal`, about 1 ms at M = 2400).
+    The grid `probe_tau` is the running sum of the steps and ends at the
+    first node at or past tau_max.  The first two steps are replaced by
+    four backward-Euler half steps to damp the ringing CN produces from
+    the discontinuous initial data at the absorbing boundary (Rannacher,
+    Numer. Math. 43, 1984); global second-order accuracy survives.
     The far field is truncated with a Dirichlet zero at y_min
     (default y_plus - 12, where the hitting probability is negligible for
     every built-in field).
@@ -233,7 +258,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     stencil = np.array([(i - 1, i, i + 1) for i in probe_idx],
                        dtype=np.intp).reshape(-1)
 
-    steps, tau = _time_steps(dtau, tau_max)
+    steps, tau = _time_steps(dtau, tau_max, _slowest_rate(h, sym_off))
     n_steps = len(steps)
     reads = np.zeros((n_steps + 1, stencil.size))
     # the interior column of each stencil node; the boundary nodes 0 and M

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpt
 from fpt import cli
 from fpt.cli import main
 
@@ -216,6 +217,17 @@ def test_validate_report(tmp_path, capsys):
     assert case["l1"] < 5e-3
     assert abs(case["normalization_residual"]) < 1e-8
     assert (tmp_path / "report_curves.csv").exists()
+
+
+def test_validate_report_counts_the_pde_steps(capsys):
+    """Each case reports the time steps of its barrier's PDE solve."""
+    code, out = run(capsys, "validate", "--model", "ou", "--barriers", "0",
+                    "--offsets=1,2", "--tmax", "8", "--dy", "0.02")
+    assert code == 0
+    g = fpt.solve_pde(fpt.builtin("ou")[0], 0.0, dy=0.02, dtau=1e-3,
+                      tau_max=8.0, probe_y=(-1.0,))
+    steps = [case["pde_steps"] for case in json.loads(out)["cases"]]
+    assert steps == [len(g.probe_tau) - 1] * 2 and steps[0] > 0
 
 
 def test_validate_curves_sit_beside_an_extensionless_report(tmp_path, monkeypatch,

@@ -441,6 +441,26 @@ def test_calibration_at_extreme_rate_ratios(ou):
         assert val == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("lam", [1e-18, 1e-15, 1e-12])
+def test_rate_ratio_below_the_tail_rule_is_a_numerics_error(ou, lam):
+    """At lam/theta below 1e-11 calibration raises NumericsError naming the
+    ratio, not scipy's ValueError: at 1e-18 the Jacobi exponent rounds to
+    -1, at 1e-15 a node on w = 0 makes the normalization NaN, and at
+    1e-12 the rule is 2e-5 off."""
+    with pytest.raises(fpt.NumericsError, match="lambda/theta"):
+        fpt.build_model(*ou, 0.0, 1.0, lam=lam, lambda_source="estimate")
+
+
+def test_tail_rule_is_accurate_down_to_its_smallest_rate_ratio():
+    """At the smallest lam/theta that `_normalizer` takes, its Gauss-Jacobi
+    rule still integrates its own weight, int_-1^1 (1+x)^(a-1) = 2^a / a,
+    to 1e-6, and its first node lies clear of the end point."""
+    a = density._NORM_MIN_A
+    x, w = special.roots_jacobi(density._NORM_N_TAIL, 0.0, a - 1.0)
+    assert abs(w.sum() * a / 2**a - 1.0) < 1e-6
+    assert x[0] + 1.0 > 0.0
+
+
 def test_build_model_accepts_overrides(ou):
     ff, im = ou
     m = fpt.build_model(ff, im, -1.0, 0.0, theta=1.3, lam=0.9)

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 
 import fpt
 from fpt.errors import InputError, NumericsError
-from fpt.oracle import _CAP, _time_steps
+from fpt.oracle import _BLOCK, _CAP, _slowest_rate, _time_steps
 
 
 def _invgauss(tau, b, mu):
@@ -170,6 +170,29 @@ def test_pde_rejects_scaling_beyond_double_range():
     assert 0.999 < g.probe_F[0, -1] <= 1.0 + 1e-6
 
 
+def _symmetric_grid(ff, y_plus, dy):
+    """solve_pde's grid on [y_plus - 12, y_plus]: the nodes, their spacing
+    h, A at the nodes, L's sub- and super-diagonals and log D."""
+    y_min = y_plus - 12.0
+    M = int(round((y_plus - y_min) / dy))
+    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
+    h = (y_plus - y_min) / M
+    Ay = np.asarray(ff.A(y), float)
+    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
+    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
+    log_d = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
+    log_d -= log_d.max()
+    return y, h, Ay, lower, upper, log_d
+
+
+def _grid_rate(ff, y_plus, dy):
+    """The slowest decay rate that solve_pde caps its step by, on its grid
+    for y_plus and dy."""
+    _, h, _, lower, upper, _ = _symmetric_grid(ff, y_plus, dy)
+    return _slowest_rate(h, np.sqrt(upper[:-1] * lower[1:]))
+
+
 def _dense_cn(ff, y_plus, y0, dy, steps):
     """Non-symmetric Crank-Nicolson with the same Rannacher start-up,
     stepped through dense numpy.linalg.solve on the time steps `steps`:
@@ -209,16 +232,8 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, steps):
     steps `steps`: each step factors K for its own step, solves with it,
     doubles and subtracts, forms F = G / D on the full grid, checks it and
     reads the probe stencils.  F and f at each probe."""
-    y_min = y_plus - 12.0
-    M = int(round((y_plus - y_min) / dy))
-    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
-    h = (y_plus - y_min) / M
-    Ay = np.asarray(ff.A(y), float)
-    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
-    log_d = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
-    log_d -= log_d.max()
+    y, h, Ay, lower, upper, log_d = _symmetric_grid(ff, y_plus, dy)
+    y_min, M = y[0], len(y) - 1
     d_inv = np.exp(-log_d)
     idx = [int(round((yp - y_min) / h)) for yp in probe_y]
     stencil = np.array([(i - 1, i, i + 1) for i in idx]).reshape(-1)
@@ -254,10 +269,11 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, steps):
 
 def test_time_steps_are_graded():
     """dtau/10 in the first block, 1.01^32 times larger in each later
-    block up to 5 dtau, and the grid ends at the first node at or past
-    tau_max."""
+    block up to the cap, and the grid ends at the first node at or past
+    tau_max.  At a rate of 1 or more the cap is 5 dtau; below it, 5 dtau
+    / rate, so the capped step keeps k rate = 5 dtau."""
     dtau = 1e-3
-    steps, tau = _time_steps(dtau, 20.0)
+    steps, tau = _time_steps(dtau, 20.0, 2.0)
     blocks = steps[::32]
     assert np.all(steps == np.repeat(blocks, 32)[:len(steps)])
     assert blocks[0] == 0.1 * dtau
@@ -266,14 +282,54 @@ def test_time_steps_are_graded():
     assert len(growing) == 13 and np.all(blocks[13:] == _CAP * dtau)
     assert np.array_equal(tau, np.concatenate(([0.0], np.cumsum(steps))))
     assert tau[-2] < 20.0 <= tau[-1] and len(steps) == 4311
+    assert np.array_equal(_time_steps(dtau, 20.0, 1.0)[1], tau)
     # a tau_max on a node ends the grid there
     for n in (1, 33, 4000):
-        assert len(_time_steps(dtau, tau[n])[0]) == n
+        assert len(_time_steps(dtau, tau[n], 2.0)[0]) == n
+
+    # at rate 0.25 the same blocks grow four more times, to 20 dtau
+    slow, tau = _time_steps(dtau, 20.0, 0.25)
+    slow_blocks = slow[::32]
+    assert np.all(slow == np.repeat(slow_blocks, 32)[:len(slow)])
+    assert np.array_equal(slow_blocks[:13], growing)
+    assert np.allclose(slow_blocks[13:17] / slow_blocks[12:16], 1.01**32,
+                       rtol=1e-12)
+    assert slow_blocks[16] < 20 * dtau and np.all(slow_blocks[17:] == 20 * dtau)
+    assert tau[-2] < 20.0 <= tau[-1] and len(slow) == 1449
 
 
-# n_steps = 33 takes the first larger step, 417 the first capped one and
-# 449 the first block that reuses the capped step's factors
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69, 417, 449])
+@pytest.mark.parametrize("y_plus", [1.0, 2.0, 3.0])
+def test_slowest_rate_is_the_grids_decay_rate(ou, y_plus):
+    """The rate that caps the step is the slowest decay rate of the grid's
+    operator: for OU on the dy = 1/200 grid, within its discretization
+    error (1.9e-6, 1.4e-6 and 1.6e-5 relative) of the exact rate."""
+    lam = fpt.rightmost_zero(y_plus)
+    assert _grid_rate(ou[0], y_plus, 1 / 200) == pytest.approx(lam, rel=5e-5)
+
+
+def test_time_steps_are_uncapped_at_an_unresolved_rate(ou):
+    """A rate that rounds to zero or below leaves the step growing to the
+    end of the grid.  Far out on the OU tail, lambda_1 lies below the
+    eigensolver's resolution (about eps 4/h^2 = 1.4e-10 at dy = 1/400),
+    and the solve finishes on that schedule."""
+    dtau = 1e-3
+    steps, tau = _time_steps(dtau, 20.0, 0.0)
+    blocks = steps[::32]
+    assert np.allclose(blocks[1:] / blocks[:-1], 1.01**32, rtol=1e-12)
+    assert np.array_equal(_time_steps(dtau, 20.0, -1e-11)[1], tau)
+    g = fpt.solve_pde(ou[0], 8.5, y_min=-14.0, dy=1 / 400, dtau=dtau,
+                      tau_max=1.0, probe_y=(7.5,))
+    assert np.array_equal(g.probe_tau, _time_steps(dtau, 1.0, 0.0)[1])
+    assert 0.0 <= g.probe_F.min() and g.probe_F.max() <= 1.0
+    assert np.all(np.diff(g.probe_F) >= 0.0)
+
+
+# n_steps = 33 takes the first larger step, 417 and 449 the first steps of
+# blocks 14 and 15, past 5 dtau; "capped" is the field's first capped step
+# (513 for OU and tanh, 545 for dry friction) and "cap_reused" the first
+# block that reuses its factors
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69, 417, 449,
+                                     "capped", "cap_reused"])
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
 def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
     """Stepping in blocks reads the same bits as stepping one step at a
@@ -282,7 +338,10 @@ def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
     probes in one call."""
     ff, _ = request.getfixturevalue(field)
     dy, dtau, M = 1 / 50, 5e-3, 600
-    steps, tau = _time_steps(dtau, n_steps * _CAP * dtau)
+    steps, tau = _time_steps(dtau, 1000.0, _grid_rate(ff, 1.0, dy))
+    if n_steps in ("capped", "cap_reused"):
+        capped = int(np.argmax(steps == steps[-1])) + 1
+        n_steps = capped + (_BLOCK if n_steps == "cap_reused" else 0)
     steps, tau = steps[:n_steps], tau[:n_steps + 1]
     nodes = -11.0 + 12.0 * np.arange(M + 1) / M
     for probes in [(nodes[1],), (nodes[M - 1],),
@@ -298,12 +357,15 @@ def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
 
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
 def test_pde_matches_dense_nonsymmetric_cn(field, request):
-    # tau_max = 4 runs 14 step sizes, the capped one included
+    # tau_max = 4 runs every step size, the capped one included: 17 for
+    # OU and tanh, 18 for dry friction
     ff, _ = request.getfixturevalue(field)
-    dy, dtau, tau_max = 1 / 50, 5e-3, 4.0
+    dy, dtau, tau_max = 1 / 50, 2e-3, 4.0
     g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=tau_max,
                       probe_y=(-1.0,))
-    steps, _ = _time_steps(dtau, tau_max)
+    rate = _grid_rate(ff, 1.0, dy)
+    steps, _ = _time_steps(dtau, tau_max, rate)
+    assert steps[-1] == _CAP * dtau / min(1.0, rate)
     F_ref, f_ref = _dense_cn(ff, 1.0, -1.0, dy, steps)
     assert np.max(np.abs(g.probe_F[0] - F_ref)) < 1e-12
     assert np.max(np.abs(g.probe_f[0] - f_ref)) < 1e-9
@@ -314,16 +376,8 @@ def _exact_in_time(ff, y_plus, probe_y, dy, tau):
     solve_pde's grid, solved exactly in time: with the symmetric
     S = D L D^-1 = V diag(w) V^T and the steady state L F_ss + c = 0,
     F(tau) = F_ss + D^-1 V e^(w tau) V^T D (0 - F_ss)."""
-    y_min = y_plus - 12.0
-    M = int(round((y_plus - y_min) / dy))
-    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
-    h = (y_plus - y_min) / M
-    Ay = np.asarray(ff.A(y), float)
-    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
-    log_d = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
-    log_d -= log_d.max()
+    y, h, _, lower, upper, log_d = _symmetric_grid(ff, y_plus, dy)
+    y_min, M = y[0], len(y) - 1
     w, V = linalg.eigh_tridiagonal(np.full(M - 1, -2.0 / h**2),
                                    np.sqrt(upper[:-1] * lower[1:]))
     bands = np.zeros((3, M - 1))
@@ -345,21 +399,28 @@ def _exact_in_time(ff, y_plus, probe_y, dy, tau):
 _UNIFORM_SUP_ERROR = {("ou", 1.0): 5.7e-6, ("ou", -1.0): 1.5e-5,
                       ("tanh2", 1.0): 4.8e-6, ("tanh2", -1.0): 1.6e-5}
 
+# the slowly decaying rows, where the rate-scaled cap grows the step most
+# (lambda_1 from 0.0116 to 0.097); they run as `fpt validate` runs them, at
+# dtau = 2e-3 to tau_max = 80
+_SLOW_ROWS = [("ou", 2.0), ("tanh2", 2.0), ("dry_friction", 2.0),
+              ("ou", 3.0), ("dry_friction", 3.0)]
 
-@pytest.mark.parametrize("field, y_plus", list(_UNIFORM_SUP_ERROR))
+
+@pytest.mark.parametrize("field, y_plus", list(_UNIFORM_SUP_ERROR) + _SLOW_ROWS)
 def test_pde_graded_steps_match_exact_time_integration(field, y_plus,
                                                        request):
     """The graded steps stay within 1e-5 of the semi-discrete system
     solved exactly in time, at offsets 1, 2 and 4 below the barrier, and
     no further from it than the uniform steps they replace."""
     ff, _ = request.getfixturevalue(field)
+    dtau, tau_max = (2e-3, 80.0) if y_plus >= 2 else (1e-3, 20.0)
     probes = (y_plus - 1.0, y_plus - 2.0, y_plus - 4.0)
-    g = fpt.solve_pde(ff, y_plus, dy=1 / 200, dtau=1e-3, tau_max=20.0,
+    g = fpt.solve_pde(ff, y_plus, dy=1 / 200, dtau=dtau, tau_max=tau_max,
                       probe_y=probes)
     F_exact = _exact_in_time(ff, y_plus, probes, 1 / 200, g.probe_tau)
     err = np.max(np.abs(g.probe_F - F_exact))
     assert err < 1e-5
-    assert err <= _UNIFORM_SUP_ERROR[field, y_plus]
+    assert err <= _UNIFORM_SUP_ERROR.get((field, y_plus), np.inf)
 
 
 # ----------------------------------------------------------------------
