@@ -197,19 +197,8 @@ def cmd_density(args):
         ff, im, args.start, args.barrier,
         model_name=name, model_params=_model_params(args))
     tau = np.linspace(args.tmax / args.n, args.tmax, args.n)
-    fvals = _density.eval_density(model, tau)
-    cols = ["tau", "f_formula"]
-    if args.validate:
-        grid = _oracle.solve_pde(model.ff, model.y_plus,
-                                 dy=args.dy, dtau=args.dtau,
-                                 tau_max=args.tmax, probe_y=(model.y0,))
-        fpde = np.interp(tau, grid.probe_tau, grid.probe_f[0])
-        rows = [(t, fv, fp, abs(fv - fp))
-                for t, fv, fp in zip(tau, fvals, fpde)]
-        cols += ["f_pde", "abs_err"]
-    else:
-        rows = list(zip(tau, fvals))
-    _write_csv(args.out, args, cols, rows)
+    _write_csv(args.out, args, ["tau", "f_formula"],
+               zip(tau, _density.eval_density(model, tau)))
 
 
 def cmd_oracle(args):
@@ -400,12 +389,6 @@ def build_parser():
     sp.add_argument("--barrier", type=float, required=True)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--validate", action="store_true",
-                    help="add PDE reference columns")
-    sp.add_argument("--dy", type=float, default=1.0 / 200.0)
-    sp.add_argument("--dtau", type=float, default=1e-3,
-                    help="scale of the PDE's graded time steps: dtau/10 "
-                         "at first, growing to 5 dtau / min(1, lambda_1)")
     common(sp)
 
     sp = sub.add_parser("oracle", help="numerical ground truth")

@@ -120,7 +120,6 @@ class DensityModel:
     """Calibrated parameter set for one (y0, y_plus) pair.  Immutable;
     sweeps over starting points re-calibrate rho per point."""
 
-    ff: ForceField
     im: InvariantMeasure
     y0: float
     y_plus: float
@@ -359,12 +358,12 @@ def build_model(ff: ForceField, im: InvariantMeasure, y0, y_plus,
     lambda_source = lambda_source or "user"
 
     if theta == 0.0:
-        return DensityModel(ff=ff, im=im, y0=y0, y_plus=y_plus, theta=0.0,
+        return DensityModel(im=im, y0=y0, y_plus=y_plus, theta=0.0,
                             lam=float(lam), nu=0.0, rho=0.0,
                             lambda_source=lambda_source)
 
     nu = nu_coefficient(ff, theta, lam, y_plus)
-    raw = DensityModel(ff=ff, im=im, y0=y0, y_plus=y_plus, theta=float(theta),
+    raw = DensityModel(im=im, y0=y0, y_plus=y_plus, theta=float(theta),
                        lam=float(lam), nu=float(nu),
                        lambda_source=lambda_source)
     rho, sens, resid = calibrate_rho(raw)

@@ -16,9 +16,10 @@ analytic modules:
               5 dtau / min(1, lambda_1), with one dpttrf per block while it
               grows; lambda_1 is the slowest decay rate of the grid's own
               operator, so the capped step keeps k lambda_1 <= 5 dtau.
-              Its domain (finite A, cell Peclet number below 1, scaling
-              within e^460) is checked up front and InputError names the
-              knob to turn (dy or y_min).
+              Its grid and operator come from one builder, `_operator`,
+              which also checks their domain (finite A, cell Peclet
+              number below 1, scaling within e^460) up front; InputError
+              names the knob to turn (dy or y_min).
   solve_tree  explicit trinomial lattice, forward induction with an
               absorbing top layer.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
@@ -109,6 +110,47 @@ _GROWTH = 1.01 ** _BLOCK
 _CAP = 5.0
 
 
+def _operator(ff, y_plus, y_min, dy):
+    """solve_pde's grid on [y_min, y_plus] and its operator
+    L = A d/dy + d2/dy2 in symmetric form S = D L D^-1: the nodes y, their
+    spacing h, A at the nodes, L's sub- and super-diagonals on the
+    interior rows, log D on the interior nodes (max 0) and S's
+    off-diagonal.  y_min defaults to min(y_plus - 12, -y_plus - 5).
+    InputError is raised outside the domain solve_pde documents."""
+    if y_min is None:
+        y_min = min(y_plus - 12.0, -y_plus - 5.0)
+    M = int(round((y_plus - y_min) / dy))
+    if M < 8:
+        raise InputError("grid too coarse")
+    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
+    h = (y_plus - y_min) / M
+    Ay = np.asarray(ff.A(y), float)
+    bad = ~np.isfinite(Ay)
+    if bad.any():
+        raise InputError(f"drift A(y) is not finite at y = "
+                         f"{y[bad.argmax()]:.6g}")
+
+    # interior operator  L F = A F_y + F_yy  (rows i = 1..M-1)
+    peclet = np.abs(Ay[1:M]) * h / 2
+    if peclet.max() >= 1.0:
+        k = peclet.argmax()
+        raise InputError(
+            f"cell Peclet number |A| dy/2 = {peclet[k]:.3g} >= 1 at "
+            f"y = {y[k + 1]:.6g}; refine dy below {2 / abs(Ay[k + 1]):.3g}")
+    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
+    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
+    log_d = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
+    log_d -= log_d.max()
+    if log_d.min() < -_MAX_LOG_SCALE:
+        k = log_d.argmin()
+        raise InputError(
+            f"the symmetric scaling spans e^{-log_d[k]:.0f} (limit "
+            f"e^{_MAX_LOG_SCALE:.0f}), smallest at y = {y[k + 1]:.6g}; "
+            f"move y_min = {y_min:g} closer to y_plus")
+    return y, h, Ay, lower, upper, log_d, np.sqrt(upper[:-1] * lower[1:])
+
+
 def _slowest_rate(h, sym_off):
     """lambda_1, the slowest decay rate of solve_pde's grid: minus the
     largest eigenvalue of its symmetric operator S, whose diagonal is
@@ -172,9 +214,12 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     four backward-Euler half steps to damp the ringing CN produces from
     the discontinuous initial data at the absorbing boundary (Rannacher,
     Numer. Math. 43, 1984); global second-order accuracy survives.
-    The far field is truncated with a Dirichlet zero at y_min
-    (default y_plus - 12, where the hitting probability is negligible for
-    every built-in field).
+    The far field is truncated with a Dirichlet zero at y_min, by default
+    min(y_plus - 12, -y_plus - 5), where the hitting probability is
+    negligible for every built-in field: 12 below the barrier, and above
+    y_plus = 3.5 further from 0 than the barrier by 5, so that for OU the
+    far end stays a much slower exit than the barrier (at y_plus = 6 the
+    end y_plus - 12 = -6 would exit as fast, and double lambda_1).
 
     The interior operator L = A d/dy + d2/dy2 has sub-diagonal
     l_i = 1/h^2 - A_i/(2h) and super-diagonal u_i = 1/h^2 + A_i/(2h).  The
@@ -205,46 +250,18 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
         most the integral of |A|/2 over [y_min, y_plus], must not exceed
         460: move y_min closer to y_plus.
     Built-in fields on the CLI grids sit far inside both bounds: OU with
-    y_min = -23 has a log-range of about 132.
+    y_min = -23 has a log-range of about 132.  With the default y_min the
+    log-range of OU is (y_plus + 5)^2 / 4 above y_plus = 3.5, and reaches
+    460 at y_plus = 37.9.
     """
     y_plus = float(y_plus)
-    if y_min is None:
-        y_min = y_plus - 12.0
     if not (dy > 0 and dtau > 0 and tau_max > 0):
         raise InputError("dy, dtau, tau_max must be positive")
     if len(probe_y) == 0:
         raise InputError("solve_pde needs at least one probe_y")
-    M = int(round((y_plus - y_min) / dy))
-    if M < 8:
-        raise InputError("grid too coarse")
-    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
-    h = (y_plus - y_min) / M
-    Ay = np.asarray(ff.A(y), float)
-    bad = ~np.isfinite(Ay)
-    if bad.any():
-        raise InputError(f"drift A(y) is not finite at y = "
-                         f"{y[bad.argmax()]:.6g}")
-
-    # interior operator  L F = A F_y + F_yy  (rows i = 1..M-1)
-    peclet = np.abs(Ay[1:M]) * h / 2
-    if peclet.max() >= 1.0:
-        k = peclet.argmax()
-        raise InputError(
-            f"cell Peclet number |A| dy/2 = {peclet[k]:.3g} >= 1 at "
-            f"y = {y[k + 1]:.6g}; refine dy below {2 / abs(Ay[k + 1]):.3g}")
-    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
-    log_d = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
-    log_d -= log_d.max()
-    if log_d.min() < -_MAX_LOG_SCALE:
-        k = log_d.argmin()
-        raise InputError(
-            f"the symmetric scaling spans e^{-log_d[k]:.0f} (limit "
-            f"e^{_MAX_LOG_SCALE:.0f}), smallest at y = {y[k + 1]:.6g}; "
-            f"move y_min = {y_min:g} closer to y_plus")
+    y, h, Ay, _, upper, log_d, sym_off = _operator(ff, y_plus, y_min, dy)
+    y_min, M = y[0], len(y) - 1
     d_inv = np.exp(-log_d)
-    sym_off = np.sqrt(upper[:-1] * lower[1:])
 
     probe_idx = []
     for yp in probe_y:

@@ -49,7 +49,6 @@ import threading
 import warnings
 
 import numpy as np
-from numpy.polynomial import hermite_e
 from scipy import special
 from scipy.optimize import brentq
 
@@ -117,15 +116,11 @@ def pcf(s, y):
 
 
 def hermite_leftmost_zero(n):
-    """Smallest real zero of the probabilists' Hermite polynomial He_n,
-    via companion-matrix roots."""
+    """Smallest zero of the probabilists' Hermite polynomial He_n, the
+    first Gauss-Hermite node of scipy's `roots_hermitenorm`."""
     if n < 1:
         raise InputError("n must be >= 1")
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    roots = hermite_e.hermeroots(c)
-    real = roots[np.abs(roots.imag) < 1e-10].real if np.iscomplexobj(roots) else roots
-    return float(np.min(real))
+    return float(special.roots_hermitenorm(n)[0][0])
 
 
 def rightmost_zero(y_plus):

@@ -105,18 +105,6 @@ def test_cumulants_command_dimensional_column(tmp_path, capsys):
     assert rows[5][0] == "mean_direct" and rows[5][2] == ""
 
 
-def test_density_with_validation_columns(tmp_path, capsys):
-    out = tmp_path / "d.csv"
-    code, _ = run(capsys, "density", "--model", "ou", "--start", "-1",
-                  "--barrier", "0", "--tmax", "6", "--n", "40", "--validate",
-                  "--dy", "0.02", "--dtau", "0.002", "--out", str(out))
-    assert code == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "tau,f_formula,f_pde,abs_err"
-    errs = [float(l.split(",")[3]) for l in lines[1:]]
-    assert max(errs) < 5e-3          # formula exact here; PDE error only
-
-
 def test_oracle_pde_command(capsys):
     code, out = run(capsys, "oracle", "pde", "--model", "ou", "--start", "-1",
                     "--barrier", "0", "--tmax", "2", "--dy", "0.02",
@@ -466,7 +454,8 @@ def test_every_cli_option_is_read():
     ["pcf", "--s", "1", "--y", "0", "--zero", "1"],
     ["lambda", "--seed", "1"],
     ["lambda", "--rmax", "6"],
-    ["fig1", "--rmax", "6"]])
+    ["fig1", "--rmax", "6"],
+    ["density", "--start", "-1", "--barrier", "0", "--validate"]])
 def test_removed_options_are_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -185,7 +185,7 @@ def test_internal_normalization_matches_adaptive_quad(ou):
 def test_rho_sensitivity_flagged_near_boundary(ou):
     ff, im = ou
     lam = fpt.rightmost_zero(0.5)
-    raw = fpt.DensityModel(ff=ff, im=im, y0=0.5 - 1e-4, y_plus=0.5, theta=1.0,
+    raw = fpt.DensityModel(im=im, y0=0.5 - 1e-4, y_plus=0.5, theta=1.0,
                            lam=lam, nu=fpt.nu_coefficient(ff, 1.0, lam, 0.5))
     with pytest.warns(UserWarning, match="rho"):
         rho, sens, resid = fpt.calibrate_rho(raw)
@@ -396,9 +396,9 @@ def test_log_density_slope_consistency(ou):
     rng = np.random.default_rng(3)
     for tau in rng.uniform(0.05, 5.0, 6):
         dy = 1e-6
-        ma = fpt.DensityModel(ff=ff, im=im, y0=y - dy, y_plus=y_plus,
+        ma = fpt.DensityModel(im=im, y0=y - dy, y_plus=y_plus,
                               theta=m.theta, lam=m.lam, nu=m.nu, rho=0.0)
-        mb = fpt.DensityModel(ff=ff, im=im, y0=y + dy, y_plus=y_plus,
+        mb = fpt.DensityModel(im=im, y0=y + dy, y_plus=y_plus,
                               theta=m.theta, lam=m.lam, nu=m.nu, rho=0.0)
         fd = -(fpt.log_density(mb, tau) - fpt.log_density(ma, tau)) / (2 * dy)
         sq = np.exp(-m.theta * tau)

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 
 import fpt
 from fpt.errors import InputError, NumericsError
-from fpt.oracle import _BLOCK, _CAP, _slowest_rate, _time_steps
+from fpt.oracle import _BLOCK, _CAP, _operator, _slowest_rate, _time_steps
 
 
 def _invgauss(tau, b, mu):
@@ -170,27 +170,11 @@ def test_pde_rejects_scaling_beyond_double_range():
     assert 0.999 < g.probe_F[0, -1] <= 1.0 + 1e-6
 
 
-def _symmetric_grid(ff, y_plus, dy):
-    """solve_pde's grid on [y_plus - 12, y_plus]: the nodes, their spacing
-    h, A at the nodes, L's sub- and super-diagonals and log D."""
-    y_min = y_plus - 12.0
-    M = int(round((y_plus - y_min) / dy))
-    y = y_min + (y_plus - y_min) * np.arange(M + 1) / M
-    h = (y_plus - y_min) / M
-    Ay = np.asarray(ff.A(y), float)
-    lower = -Ay[1:M] / (2 * h) + 1.0 / h**2
-    upper = Ay[1:M] / (2 * h) + 1.0 / h**2
-    log_d = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (np.log(upper[:-1]) - np.log(lower[1:])))))
-    log_d -= log_d.max()
-    return y, h, Ay, lower, upper, log_d
-
-
 def _grid_rate(ff, y_plus, dy):
     """The slowest decay rate that solve_pde caps its step by, on its grid
     for y_plus and dy."""
-    _, h, _, lower, upper, _ = _symmetric_grid(ff, y_plus, dy)
-    return _slowest_rate(h, np.sqrt(upper[:-1] * lower[1:]))
+    _, h, _, _, _, _, sym_off = _operator(ff, y_plus, None, dy)
+    return _slowest_rate(h, sym_off)
 
 
 def _dense_cn(ff, y_plus, y0, dy, steps):
@@ -232,7 +216,7 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, steps):
     steps `steps`: each step factors K for its own step, solves with it,
     doubles and subtracts, forms F = G / D on the full grid, checks it and
     reads the probe stencils.  F and f at each probe."""
-    y, h, Ay, lower, upper, log_d = _symmetric_grid(ff, y_plus, dy)
+    y, h, Ay, _, upper, log_d, sym_off = _operator(ff, y_plus, None, dy)
     y_min, M = y[0], len(y) - 1
     d_inv = np.exp(-log_d)
     idx = [int(round((yp - y_min) / h)) for yp in probe_y]
@@ -247,8 +231,7 @@ def _stepwise_cn(ff, y_plus, probe_y, dy, steps):
     for step, k in enumerate(steps, start=1):
         half = 0.5 * k
         k_diag, k_off, _ = lapack.dpttrf(
-            np.full(M - 1, 1.0 + half * 2.0 / h**2),
-            -half * np.sqrt(upper[:-1] * lower[1:]))
+            np.full(M - 1, 1.0 + half * 2.0 / h**2), -half * sym_off)
         b = np.exp(log_d[-1]) * half * upper[-1]
         startup = step <= 2
         for _ in range(2 if startup else 1):
@@ -298,13 +281,17 @@ def test_time_steps_are_graded():
     assert tau[-2] < 20.0 <= tau[-1] and len(slow) == 1449
 
 
-@pytest.mark.parametrize("y_plus", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("y_plus", [1.0, 2.0, 3.0, 6.0])
 def test_slowest_rate_is_the_grids_decay_rate(ou, y_plus):
     """The rate that caps the step is the slowest decay rate of the grid's
     operator: for OU on the dy = 1/200 grid, within its discretization
-    error (1.9e-6, 1.4e-6 and 1.6e-5 relative) of the exact rate."""
+    error (1.9e-6, 1.4e-6 and 1.6e-5 relative) of the exact rate.  At
+    y_plus = 6 (-6.5e-4) the default far end -y_plus - 5 keeps it so; the
+    end y_plus - 12 = -6 would be as fast an exit as the barrier and
+    double it."""
     lam = fpt.rightmost_zero(y_plus)
-    assert _grid_rate(ou[0], y_plus, 1 / 200) == pytest.approx(lam, rel=5e-5)
+    rel = 2e-3 if y_plus == 6.0 else 5e-5
+    assert _grid_rate(ou[0], y_plus, 1 / 200) == pytest.approx(lam, rel=rel)
 
 
 def test_time_steps_are_uncapped_at_an_unresolved_rate(ou):
@@ -376,10 +363,9 @@ def _exact_in_time(ff, y_plus, probe_y, dy, tau):
     solve_pde's grid, solved exactly in time: with the symmetric
     S = D L D^-1 = V diag(w) V^T and the steady state L F_ss + c = 0,
     F(tau) = F_ss + D^-1 V e^(w tau) V^T D (0 - F_ss)."""
-    y, h, _, lower, upper, log_d = _symmetric_grid(ff, y_plus, dy)
+    y, h, _, lower, upper, log_d, sym_off = _operator(ff, y_plus, None, dy)
     y_min, M = y[0], len(y) - 1
-    w, V = linalg.eigh_tridiagonal(np.full(M - 1, -2.0 / h**2),
-                                   np.sqrt(upper[:-1] * lower[1:]))
+    w, V = linalg.eigh_tridiagonal(np.full(M - 1, -2.0 / h**2), sym_off)
     bands = np.zeros((3, M - 1))
     bands[0, 1:] = upper[:-1]
     bands[1] = -2.0 / h**2
