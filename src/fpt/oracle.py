@@ -21,9 +21,10 @@ analytic modules:
               number below 1, scaling within e^460) up front; InputError
               names the knob to turn (dy or y_min).
   solve_tree  explicit trinomial lattice, forward induction with an
-              absorbing top layer.
+              absorbing top layer, 32 steps per sparse banded product.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
-              correction for intra-step barrier crossings.
+              correction for intra-step barrier crossings, advanced in
+              blocks of steps whose length follows the live path count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import InputError, NumericsError
@@ -351,6 +353,9 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
 # depth of the trinomial lattice below the barrier
 _TREE_SPAN = 14.0
 
+# solve_tree advances the lattice this many steps per sparse product
+_TREE_BLOCK = 32
+
 
 def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
                tau_max=20.0) -> TreeResult:
@@ -361,7 +366,18 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
     Branch probabilities p_{u,d} = 1/6 +- A dtau/(2 dy) must stay in
     [0, 1], which bounds |A| sqrt(dtau); violations raise with a
     suggestion to reduce dtau.  The bottom edge is treated as no-flux
-    (mass there is negligible by construction).
+    (mass there is negligible by construction).  The lattice runs
+    round(tau_max / dtau) steps, and InputError is raised when that is 0.
+
+    One step is m <- S m with S = C P: P moves each node's mass (2/3
+    stays, p_u goes up, p_d down) and C clears node 0, the absorbing top
+    layer, whose mass before clearing, T_0 m with T_0 the top row of P, is
+    the mass absorbed in the step.  The lattice runs _TREE_BLOCK = 32
+    steps at a time: the block's absorbed masses are the rows T_0 S^j,
+    j < 32, applied to the mass at its start, and its end mass is S^32
+    applied to it.  S is tridiagonal, so S^32 is a sparse matrix of
+    bandwidth 32, and T_0 S^j is nonzero on nodes 0..j+1 only.  A partial
+    last block reads the first rows alone.
     """
     y_plus, y0 = float(y_plus), float(y0)
     if y0 >= y_plus:
@@ -372,6 +388,10 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
     n0 = max(1, int(round((y_plus - y0) / dy0)))
     dy = (y_plus - y0) / n0
     dtau = dy * dy / 6.0
+    n_steps = int(round(tau_max / dtau))
+    if n_steps == 0:
+        raise InputError(f"tau_max = {tau_max:g} rounds to zero lattice "
+                         f"steps of dtau = {dtau:.3g}")
 
     K = int(np.ceil(_TREE_SPAN / dy))
     nodes = y_plus - dy * np.arange(K + 1)     # k = 0 is the boundary layer
@@ -386,20 +406,33 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
     pu = 1.0 / 6.0 + shift
     pd = 1.0 / 6.0 - shift
 
+    # S's column k sends node k's mass to k - 1 (p_u), k (2/3) and k + 1
+    # (p_d), the bottom node keeping its p_d (no flux); row 0 is cleared
+    stay = np.full(K + 1, 2.0 / 3.0)
+    stay[-1] += pd[-1]
+    stay[0] = 0.0
+    up = np.concatenate(([0.0], pu[2:]))
+    S = sparse.diags_array([pd[:-1], stay, up], offsets=[-1, 0, 1],
+                           format="csr")
+    width = min(_TREE_BLOCK + 1, K + 1)
+    rows = np.zeros((_TREE_BLOCK, K + 1))       # rows[j] = T_0 S^j
+    rows[0, :2] = 2.0 / 3.0, pu[1]
+    for j in range(1, _TREE_BLOCK):
+        rows[j] = rows[j - 1] @ S
+    rows = np.ascontiguousarray(rows[:, :width])
+    # S^32 as 31 products with S, in the order of 32 single steps
+    S_block = S
+    for _ in range(_TREE_BLOCK - 1):
+        S_block = S @ S_block
+
     mass = np.zeros(K + 1)
     mass[n0] = 1.0
-    n_steps = int(round(tau_max / dtau))
-    absorbed = np.zeros(n_steps)
-    for n in range(n_steps):
-        up = pu * mass
-        down = pd * mass
-        new = (2.0 / 3.0) * mass
-        new[:-1] += up[1:]            # k -> k-1
-        new[1:] += down[:-1]          # k -> k+1
-        new[-1] += down[-1]           # no-flux bottom
-        absorbed[n] = new[0]          # everything reaching the top layer
-        new[0] = 0.0
-        mass = new
+    absorbed = np.empty(n_steps)
+    full = n_steps - n_steps % _TREE_BLOCK
+    for n in range(0, full, _TREE_BLOCK):
+        np.dot(rows, mass[:width], out=absorbed[n:n + _TREE_BLOCK])
+        mass = S_block @ mass
+    absorbed[full:] = rows[:n_steps - full] @ mass[:width]
 
     return TreeResult(absorbed_mass=absorbed, dy=dy, dtau=dtau)
 
@@ -414,6 +447,11 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
 # per path-step.
 _BRIDGE_CUT = 37.0
 
+# simulate advances its n live paths B = max(1, min(_MC_CAP, _MC_BUDGET // n))
+# steps per block
+_MC_BUDGET = 2**16
+_MC_CAP = 512
+
 
 def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
              tau_max=20.0, bridge=True, seed=0) -> McResult:
@@ -423,69 +461,90 @@ def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
     the new gap g1 is <= 0.  With bridge=True a surviving step
     additionally crosses with the Brownian-bridge probability
     exp(-g0 g1 / dt) (diffusion coefficient 2), removing most of the
-    O(sqrt(dt)) discretization bias of the naive scheme.  Its uniform is
-    drawn only where g0 g1 < 37 dt: elsewhere the probability is below
-    exp(-37) < 2**-53, the spacing of `Generator.random`, so only a zero
-    draw could fire.  Each step draws the normals of the live paths, then
-    those uniforms.  Fully reproducible from `seed`; paths still alive at
-    tau_max are censored and counted.  `samples` come out sorted.
+    O(sqrt(dt)) discretization bias of the naive scheme.  A uniform is
+    drawn for every step with g0 g1 < 37 dt, which fires with probability
+    min(1, exp(-g0 g1 / dt)): surely on a crossing (g0 > 0 >= g1, so
+    g0 g1 <= 0), and elsewhere with the bridge probability.  Past the cut
+    the probability is below exp(-37) < 2**-53, the spacing of
+    `Generator.random`, so only a zero draw could fire.
+
+    The n live paths advance in blocks of B = max(1, min(512, 2**16 // n))
+    steps, so that the Python loop does only the Euler update
+    Y <- Y + A(Y) dt + sqrt(2 dt) Z, four calls per step, on the normals
+    of one (B, n) draw.  The uniforms of the block (drawn in block order,
+    step by step) and each path's first hit are then found on the whole
+    block at once, and the paths that hit leave the live set.  A path
+    that crosses keeps stepping until its block ends, with A evaluated
+    past the barrier; only its first crossing counts.  Block shapes follow
+    the live count at each block start, so the samples are reproducible
+    from `seed` alone, and the law is that of stepping one step at a time.
+    The paths run round(tau_max / dt) steps, and InputError is raised
+    when that is 0; paths still alive at tau_max are censored and counted.
+    `samples` come out sorted.
     """
     y_plus, y0 = float(y_plus), float(y0)
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
     if not (dt > 0 and tau_max > 0 and n_paths > 0):
         raise InputError("dt, tau_max and n_paths must be positive")
+    n_steps = int(round(tau_max / dt))
+    if n_steps == 0:
+        raise InputError(f"tau_max = {tau_max:g} rounds to zero steps of "
+                         f"dt = {dt:g}")
     if dt > 1e-2:
         warnings.warn("dt above 1e-2 gives visibly biased hitting times")
     rng = np.random.default_rng(seed)
-    n_steps = int(round(tau_max / dt))
     sq = np.sqrt(2.0 * dt)
     cut = _BRIDGE_CUT * dt
 
-    # preallocated buffers, sliced to the live paths after each step with
-    # hits; `gap` and `new_gap` swap roles on every other step
-    gap = np.full(n_paths, y_plus - y0)
-    new_gap, y, z, w = (np.empty(n_paths) for _ in range(4))
-    mask = np.empty(n_paths, dtype=bool)
-    hit_steps, hit_counts = [], []
-    n = n_paths
-    for step in range(1, n_steps + 1):
-        np.subtract(y_plus, gap, out=y)
-        np.multiply(ff.A(y), dt, out=w)
-        rng.standard_normal(out=z)
-        np.multiply(z, sq, out=z)
-        np.add(w, z, out=w)
-        np.subtract(gap, w, out=new_gap)
-        if bridge:
-            # candidates: crossed (g0 g1 <= 0) or close enough to bridge
-            np.multiply(gap, new_gap, out=w)
-            np.less(w, cut, out=mask)
-        else:
-            np.less_equal(new_gap, 0.0, out=mask)
-        hit = mask.nonzero()[0]
-        if bridge and hit.size:
-            crossed = new_gap[hit] <= 0.0
-            near = ~crossed
-            if near.any():
-                p = np.exp(w[hit[near]] / -dt)
-                crossed[near] = rng.random(p.size) < p
-            hit = hit[crossed]
-        if hit.size:
-            hit_steps.append(step)
-            hit_counts.append(hit.size)
-            n -= hit.size
-            if n == 0:
-                break
-            mask.fill(True)
-            mask[hit] = False
-            new_gap.compress(mask, out=gap[:n])
-            gap, new_gap, y, z, w, mask = (gap[:n], new_gap[:n], y[:n], z[:n],
-                                           w[:n], mask[:n])
-        else:
-            gap, new_gap = new_gap, gap
+    # flat buffers that hold every block, B n <= max(_MC_BUDGET, n_paths):
+    # Y (B + 1 rows) and the gaps G in `ys` and `gs`, the normals Z and
+    # then g0 g1 in `zs`.  The first n entries of `ys` carry the live
+    # positions from one block to the next.
+    size = max(_MC_BUDGET, n_paths)
+    ys, gs = np.empty(size + n_paths), np.empty(size + n_paths)
+    zs = np.empty(size)
+    ys[:n_paths] = y0
+    hit_steps = []
+    n, done = n_paths, 0
+    while n and done < n_steps:
+        B = max(1, min(_MC_CAP, _MC_BUDGET // n, n_steps - done))
+        Y = ys[:(B + 1) * n].reshape(B + 1, n)
+        Z = zs[:B * n].reshape(B, n)
+        rng.standard_normal(out=Z)
+        Z *= sq
+        for k in range(B):
+            cur, nxt = Y[k], Y[k + 1]
+            np.multiply(ff.A(cur), dt, out=nxt)
+            nxt += Z[k]
+            nxt += cur
 
-    samples = dt * np.repeat(np.asarray(hit_steps, float), hit_counts)
-    return McResult(samples=samples, censored_count=n, dt=dt, n_paths=n_paths)
+        G = gs[:(B + 1) * n].reshape(B + 1, n)
+        np.subtract(y_plus, Y, out=G)
+        if bridge:
+            np.multiply(G[:-1], G[1:], out=Z)
+            near = np.flatnonzero(Z < cut)
+            p = np.exp(np.minimum(Z.ravel()[near] / -dt, 0.0))
+            fired = near[rng.random(near.size) < p]
+        else:
+            fired = np.flatnonzero(G[1:] <= 0.0)
+        if fired.size:
+            # `fired` runs step by step, so a path's first entry is its hit
+            step, path = np.divmod(fired, n)
+            path, first = np.unique(path, return_index=True)
+            hit_steps.append(done + 1 + step[first])
+            keep = np.ones(n, dtype=bool)
+            keep[path] = False
+            Y[B].compress(keep, out=ys[:n - path.size])
+            n -= path.size
+        else:
+            ys[:n] = Y[B]
+        done += B
+
+    steps = np.concatenate(hit_steps) if hit_steps else np.zeros(0, int)
+    steps.sort()
+    return McResult(samples=dt * steps.astype(float), censored_count=n,
+                    dt=dt, n_paths=n_paths)
 
 
 # ----------------------------------------------------------------------

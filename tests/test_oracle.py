@@ -1,4 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
 import importlib
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +10,8 @@ from scipy.linalg import lapack
 
 import fpt
 from fpt.errors import InputError, NumericsError
-from fpt.oracle import _BLOCK, _CAP, _operator, _slowest_rate, _time_steps
+from fpt.oracle import (_BLOCK, _CAP, _MC_BUDGET, _TREE_BLOCK, _operator,
+                        _slowest_rate, _time_steps)
 
 
 def _invgauss(tau, b, mu):
@@ -447,8 +450,53 @@ def test_tree_rejects_oversized_step(ou):
         fpt.solve_tree(ou[0], 1.0, 0.0, dtau=0.5, tau_max=2.0)
 
 
+def _stepwise_tree(ff, y_plus, y0, dtau, tau_max):
+    """solve_tree's lattice stepped one step at a time: each step moves
+    every node's mass (2/3 stays, p_u up, p_d down, no flux at the
+    bottom), records and clears the top layer.  The absorbed mass of each
+    step."""
+    n0 = max(1, int(round((y_plus - y0) / np.sqrt(6.0 * dtau))))
+    dy = (y_plus - y0) / n0
+    dtau = dy * dy / 6.0
+    K = int(np.ceil(14.0 / dy))
+    shift = ff.A(y_plus - dy * np.arange(K + 1)) * dtau / (2.0 * dy)
+    pu, pd = 1.0 / 6.0 + shift, 1.0 / 6.0 - shift
+    mass = np.zeros(K + 1)
+    mass[n0] = 1.0
+    absorbed = np.zeros(int(round(tau_max / dtau)))
+    for n in range(len(absorbed)):
+        up = pu * mass
+        down = pd * mass
+        new = (2.0 / 3.0) * mass
+        new[:-1] += up[1:]            # k -> k-1
+        new[1:] += down[:-1]          # k -> k+1
+        new[-1] += down[-1]           # no-flux bottom
+        absorbed[n] = new[0]          # everything reaching the top layer
+        new[0] = 0.0
+        mass = new
+    return absorbed
+
+
+# tau_max 10 and 1 end mid-block (10 140 and 10 086 steps), 0.02 and 0.002
+# inside the first block (20 steps each)
+@pytest.mark.parametrize("dtau, tau_max", [(1e-3, 10.0), (1e-3, 0.02),
+                                           (1e-4, 1.0), (1e-4, 0.002)])
+@pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
+def test_tree_blocks_match_stepwise_reference(field, dtau, tau_max, request):
+    """Stepping the lattice 32 steps per sparse product absorbs the same
+    mass, to rounding, as stepping it one step at a time."""
+    ff, _ = request.getfixturevalue(field)
+    tr = fpt.solve_tree(ff, 1.0, 0.0, dtau=dtau, tau_max=tau_max)
+    ref = _stepwise_tree(ff, 1.0, 0.0, dtau, tau_max)
+    assert len(ref) % _TREE_BLOCK != 0
+    assert len(tr.absorbed_mass) == len(ref)
+    assert np.max(np.abs(tr.F - np.cumsum(ref))) <= 1e-13
+
+
+# the last case is shorter than half a step: round(tau_max / dt) = 0
 @pytest.mark.parametrize("kwargs", [dict(dt=-1e-3), dict(dt=0.0),
-                                    dict(tau_max=-5.0), dict(n_paths=0)])
+                                    dict(tau_max=-5.0), dict(n_paths=0),
+                                    dict(tau_max=4e-4)])
 def test_mc_rejects_bad_inputs(ou, kwargs):
     args = dict(dt=1e-3, n_paths=10, tau_max=1.0, seed=0) | kwargs
     with pytest.raises(InputError):
@@ -456,7 +504,7 @@ def test_mc_rejects_bad_inputs(ou, kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [dict(dtau=-1e-3), dict(dtau=0.0),
-                                    dict(tau_max=0.0)])
+                                    dict(tau_max=0.0), dict(tau_max=4e-4)])
 def test_tree_rejects_bad_inputs(ou, kwargs):
     args = dict(dtau=1e-3, tau_max=1.0) | kwargs
     with pytest.raises(InputError):
@@ -520,15 +568,13 @@ def test_mc_tail_slope_matches_decay_rate(ou):
     assert slope == pytest.approx(lam, rel=0.05)
 
 
-def test_mc_matches_abm_inverse_gaussian_law(abm):
-    """Constant drift mu: the Euler step and the bridge probability are
-    both exact, so at the step ends the sampler follows the inverse-Gaussian
-    law F(tau) = Phi((mu tau - b) / sqrt(2 tau))
-                 + e^{mu b} Phi(-(mu tau + b) / sqrt(2 tau)),
-    except for the skipped bridge draws, at most 2**-53 per path-step."""
-    ff, _ = abm
-    mu, b, dt, n, tau_max = 1.0, 1.0, 1e-2, 200_000, 20.0
-    res = fpt.simulate(ff, b, 0.0, dt=dt, n_paths=n, tau_max=tau_max, seed=11)
+def _abm_kolmogorov_distance(ff, n, seed):
+    """The sampler's KS distance to the exact law of drifting Brownian
+    motion (mu = 1, b = 1, dt = 1e-2, tau_max = 20), and its bound: DKW at
+    1e-6 plus 2**-53 per step for the skipped bridge draws."""
+    mu, b, dt, tau_max = 1.0, 1.0, 1e-2, 20.0
+    res = fpt.simulate(ff, b, 0.0, dt=dt, n_paths=n, tau_max=tau_max,
+                       seed=seed)
     n_steps = int(round(tau_max / dt))
     tau = dt * np.arange(1, n_steps + 1)       # the sampler's step ends
     ref = (special.ndtr((mu * tau - b) / np.sqrt(2 * tau))
@@ -536,7 +582,46 @@ def test_mc_matches_abm_inverse_gaussian_law(abm):
     ks = fpt.kolmogorov_distance(res.samples, tau, ref, n_paths=n)
     dkw = np.sqrt(np.log(2 / 1e-6) / (2 * n))  # P(KS > dkw) <= 1e-6
     slack = n_steps * 2.0**-53                 # skipped draws; Euler slack is 0
-    assert ks <= dkw + slack
+    return ks, dkw + slack
+
+
+def test_mc_matches_abm_inverse_gaussian_law(abm):
+    """Constant drift mu: the Euler step and the bridge probability are
+    both exact, so at the step ends the sampler follows the inverse-Gaussian
+    law F(tau) = Phi((mu tau - b) / sqrt(2 tau))
+                 + e^{mu b} Phi(-(mu tau + b) / sqrt(2 tau)),
+    except for the skipped bridge draws, at most 2**-53 per path-step.
+    200 000 live paths step one step per block until the tail."""
+    ks, bound = _abm_kolmogorov_distance(abm[0], 200_000, seed=11)
+    assert ks <= bound
+
+
+def test_mc_multi_step_blocks_match_abm_inverse_gaussian_law(abm):
+    """The same exact law with 2 000 paths, whose blocks span 32 steps
+    from the start: a path's hit is its first crossing in the block."""
+    assert _MC_BUDGET // 2000 == 32
+    ks, bound = _abm_kolmogorov_distance(abm[0], 2000, seed=11)
+    assert ks <= bound
+
+
+def test_mc_concurrent_calls_match_serial_call(ou):
+    """simulate keeps its buffers in its own call, so calls running at once
+    in more threads than cores, switching often, return the samples of the
+    serial call with the same seed."""
+    kwargs = dict(dt=1e-3, n_paths=2000, tau_max=5.0, seed=7)
+    serial = fpt.simulate(ou[0], 1.0, 0.0, **kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(fpt.simulate, ou[0], 1.0, 0.0, **kwargs)
+                       for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for res in results:
+        assert np.array_equal(res.samples, serial.samples)
+        assert res.censored_count == serial.censored_count
 
 
 def test_mc_rejects_bad_geometry(ou):
