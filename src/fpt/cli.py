@@ -184,9 +184,9 @@ def cmd_cumulants(args):
     (ff, im), _ = _field_from_args(args)
     grid = _hseries.HGrid(z_max=max(args.barrier, _hseries.HGrid.Z + 1.0) + 1e-9)
     table = _hseries.build_table(ff, im, grid, args.rmax)
-    cs = _hseries.cumulants(table, args.start, args.barrier, im=im,
-                            time_scale=ff.kappa)
-    rows = list(zip(range(1, len(cs.kappa_r) + 1), cs.kappa_r, cs.dimensional()))
+    cs = _hseries.cumulants(table, args.start, args.barrier, im=im)
+    r = np.arange(1, len(cs.kappa_r) + 1)
+    rows = list(zip(r, cs.kappa_r, cs.kappa_r / ff.kappa ** r))
     rows.append(("mean_direct", cs.mean_direct, None))
     _write_csv(args.out, args, ["r", "kappa_r_dimensionless", "kappa_r_dimensional"], rows)
 
@@ -214,7 +214,7 @@ def cmd_oracle(args):
         rows = list(zip(res.tau_nodes, res.absorbed_mass, res.F))
         _write_csv(args.out, args, ["tau", "absorbed_mass", "F"], rows)
     elif args.oracle == "mc":
-        res = _oracle.simulate(ff, args.barrier, args.start, dt=args.dt,
+        res = _oracle.simulate(ff, args.barrier, args.start, dt=args.dtau,
                                n_paths=args.paths, tau_max=args.tmax,
                                bridge=not args.no_bridge, seed=args.seed)
         tgrid = np.linspace(args.tmax / 200, args.tmax, 200)
@@ -288,23 +288,20 @@ def cmd_validate(args):
                 case.update(status="failed", error=str(res))
                 continue
             tau, f_pde = res
-            try:
-                f_formula = _density.eval_density(model, tau)
-                case.update(
-                    lam=model.lam, lambda_source=model.lambda_source,
-                    theta=model.theta, nu=model.nu, rho=model.rho,
-                    tau_max=tmax, pde_steps=len(tau),
-                    l1=_oracle.l1_distance(tau, f_formula, f_pde),
-                    sup=float(np.max(np.abs(f_formula - f_pde))),
-                    normalization_residual=model.calibration_residual,
-                    tail_slope_error=_tail_slope_error(model, tau, f_pde),
-                    status="ok")
-                for t, fa, fb in zip(tau[::args.curve_stride],
-                                     f_formula[::args.curve_stride],
-                                     f_pde[::args.curve_stride]):
-                    curves.append((f"{yp:g}/{case['y0']:g}", t, fa, fb))
-            except (NumericsError, InputError) as exc:
-                case.update(status="failed", error=str(exc))
+            f_formula = _density.eval_density(model, tau)
+            case.update(
+                lam=model.lam, lambda_source=model.lambda_source,
+                theta=model.theta, nu=model.nu, rho=model.rho,
+                tau_max=tmax, pde_steps=len(tau),
+                l1=_oracle.l1_distance(tau, f_formula, f_pde),
+                sup=float(np.max(np.abs(f_formula - f_pde))),
+                normalization_residual=model.calibration_residual,
+                tail_slope_error=_tail_slope_error(model, tau, f_pde),
+                status="ok")
+            for t, fa, fb in zip(tau[::args.curve_stride],
+                                 f_formula[::args.curve_stride],
+                                 f_pde[::args.curve_stride]):
+                curves.append((f"{yp:g}/{case['y0']:g}", t, fa, fb))
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -371,9 +368,9 @@ def build_parser():
     sp = sub.add_parser("hseries", help="coefficient table as CSV")
     _add_model_args(sp)
     sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--zleft", type=float, default=-10.0)
-    sp.add_argument("--step", type=float, default=1.0 / 32.0)
-    sp.add_argument("--zmax", type=float, default=3.0)
+    sp.add_argument("--zleft", type=float, default=_hseries.HGrid.Z)
+    sp.add_argument("--step", type=float, default=_hseries.HGrid.step)
+    sp.add_argument("--zmax", type=float, default=_hseries.HGrid.z_max)
     common(sp)
 
     sp = sub.add_parser("cumulants", help="passage-time cumulants")
@@ -401,8 +398,7 @@ def build_parser():
     sp.add_argument("--dtau", type=float, default=1e-3,
                     help="pde: scale of the graded time steps (dtau/10 at "
                          "first, growing to 5 dtau / min(1, lambda_1)); "
-                         "tree: the uniform step")
-    sp.add_argument("--dt", type=float, default=1e-3)
+                         "tree: the uniform step; mc: the Euler step")
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--no-bridge", action="store_true")
     sp.add_argument("--seed", type=int, default=0, help="mc random seed")

@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 
 from . import decay as _decay
 from .errors import InputError, NumericsError
-from .forcefield import ForceField, InvariantMeasure, _integrate_segments
+from .forcefield import ForceField, InvariantMeasure, _DOMAIN, _integrate_segments
 
 __all__ = ["DensityModel", "theta_fisher", "nu_coefficient", "build_model",
            "calibrate_rho", "eval_density", "log_density"]
@@ -42,9 +42,9 @@ __all__ = ["DensityModel", "theta_fisher", "nu_coefficient", "build_model",
 # parameters
 # ----------------------------------------------------------------------
 
-# theta_fisher integrates over _THETA_DOMAIN, from _THETA_PANELS panels
-_THETA_DOMAIN = (-40.0, 40.0)
-_THETA_PANELS = 32
+# theta_fisher's panel count, and the doublings of its range allowed until
+# log psi at both ends is _THETA_TAIL below its largest edge value
+_THETA_PANELS, _THETA_MAX_DOUBLINGS, _THETA_TAIL = 32, 8, 60.0
 # _normalizer's mid and tail node counts and the w where its tail starts;
 # calibrate_rho's initial bracket, its doublings and the accepted residual
 _NORM_N_MID, _NORM_N_TAIL, _NORM_W_SPLIT = 400, 48, 0.05
@@ -61,7 +61,12 @@ def theta_fisher(ff: ForceField, im: InvariantMeasure):
     """Average rate of mean reversion <A^2> over the invariant density
     (the Fisher information of the location family psi(y - m)).
 
-    <A^2> and its cross-check <-A'> are integrated over (-40, 40) together
+    The range starts at (-40, 40) and doubles, at most 8 times (then
+    NumericsError), while psi at either end is above e^-60 of the largest
+    psi on the 33 panel edges, read by one `log_psi` query per range: OU
+    keeps (-40, 40), and dry friction with mu = 0.1 reaches (-640, 640).
+
+    <A^2> and its cross-check <-A'> are integrated over that range together
     by `forcefield._integrate_segments`, 32 panels each, in its
     whole-integral mode: every round evaluates A, A' and psi once, on all
     of its nodes, and the two integrals are accurate to about 1e-14 of
@@ -85,7 +90,17 @@ def theta_fisher(ff: ForceField, im: InvariantMeasure):
 
     # segments 0..n-1 integrate A^2 psi, segments n..2n-1 -A' psi
     n = _THETA_PANELS
-    edges = np.linspace(*_THETA_DOMAIN, n + 1)
+    lo, hi = _DOMAIN
+    for _ in range(_THETA_MAX_DOUBLINGS + 1):
+        edges = np.linspace(lo, hi, n + 1)
+        log_psi = np.asarray(im.log_psi(edges), float)
+        if not np.any(log_psi[[0, -1]] > log_psi.max() - _THETA_TAIL):
+            break
+        lo, hi = 2.0 * lo, 2.0 * hi
+    else:
+        raise NumericsError(
+            f"theta: psi at y = +-{hi / 2:g} is still above e^-{_THETA_TAIL:g} "
+            f"of its peak after {_THETA_MAX_DOUBLINGS} doublings of {_DOMAIN}")
 
     def integrand(x, k):
         first = np.repeat(k < n, x.size // k.size)

@@ -224,7 +224,7 @@ _SEG_MIN_OPEN = 1024
 
 
 def _integrate_segments(f, a, b, whole=False):
-    """int_a^b f for every segment of the broadcast arrays a, b.
+    """int_a^b f for every segment of the arrays a, b of one shape.
 
     Each round calls f(x, k) once, on the 19 nodes x of the 9- and
     12-point Gauss-Lobatto rules in every open segment (flattened, 19 per
@@ -250,8 +250,6 @@ def _integrate_segments(f, a, b, whole=False):
     least 1024): f is then too rough, or too noisy, for the tolerance.
     """
     a, b = np.asarray(a, float), np.asarray(b, float)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
     shape = a.shape
     lo, hi = a.ravel(), b.ravel()
     total = np.zeros(lo.size)
@@ -319,11 +317,13 @@ def _log_Psi_with_tail(Psi, log_psi, A):
     return log_Psi
 
 
-# equally spaced nodes of `measure_from_drift` on its domain
+# equally spaced nodes of `measure_from_drift` on its domain; the default
+# domain of a measure, which `density.theta_fisher` also starts from
 _MEASURE_NODES = 641
+_DOMAIN = (-40.0, 40.0)
 
 
-def measure_from_drift(A, domain=(-40.0, 40.0)):
+def measure_from_drift(A, domain=_DOMAIN):
     """InvariantMeasure of the unit-diffusion drift A, by quadrature.
 
     psi is exp(int A) normalized on `domain` and 0 outside it, and Psi
@@ -567,7 +567,7 @@ def load_field(source):
                 return out
             return f
 
-        dom = tuple(spec.get("domain", (-40.0, 40.0)))
+        dom = tuple(spec.get("domain", _DOMAIN))
         try:
             A = elementwise(sympy.lambdify(yvar, expr, "numpy"))
             A_prime = elementwise(sympy.lambdify(yvar, dexpr, "numpy"))

@@ -85,8 +85,11 @@ class HTable:
     returns nan."""
 
     grid: HGrid
-    r_max: int
     log_values: np.ndarray
+
+    @property
+    def r_max(self):
+        return len(self.log_values)
 
     @property
     def values(self):
@@ -178,7 +181,7 @@ def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid,
         # adding and removing log_psi[0] can round; the seed is exact
         logh[r - 1, 0] = seed
 
-    return HTable(grid=grid, r_max=r_max, log_values=logh)
+    return HTable(grid=grid, log_values=logh)
 
 
 def integrate_h(table: HTable, r: int, a, b):
@@ -202,20 +205,15 @@ def integrate_h(table: HTable, r: int, a, b):
 
 @dataclass(frozen=True)
 class CumulantSet:
-    """Cumulants k_1..k_r of the dimensionless passage time tau; divide
-    k_r by kappa^r for dimensional time."""
+    """Cumulants k_1..k_r of the dimensionless passage time tau; k_r over
+    kappa^r, with kappa the field's time scale, is the cumulant in
+    dimensional time (`fpt cumulants` prints both)."""
 
     kappa_r: np.ndarray
-    time_scale: float = 1.0
     mean_direct: float = None         # cross-check from the closed h_1 form
 
-    def dimensional(self):
-        r = np.arange(1, len(self.kappa_r) + 1)
-        return self.kappa_r / self.time_scale ** r
 
-
-def cumulants(table: HTable, y0, y_plus, im=None,
-              time_scale=1.0) -> CumulantSet:
+def cumulants(table: HTable, y0, y_plus, im=None) -> CumulantSet:
     """k_r = r! * int_{y0}^{y_plus} h_r for every row r of the table, over
     its interpolant (see `integrate_h`).
 
@@ -238,5 +236,4 @@ def cumulants(table: HTable, y0, y_plus, im=None,
         mean_direct = float(_integrate_segments(
             lambda z, _: np.exp(_log_h1(im, z)), y0, y_plus))
 
-    return CumulantSet(kappa_r=out, time_scale=time_scale,
-                       mean_direct=mean_direct)
+    return CumulantSet(kappa_r=out, mean_direct=mean_direct)

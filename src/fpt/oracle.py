@@ -58,13 +58,16 @@ class SolutionGrid:
 
 @dataclass(frozen=True)
 class TreeResult:
-    """Lattice output.  Only the mass absorbed within each step is stored;
-    the step-end times and the cumulative absorption F are derived from it
-    on each access."""
+    """Lattice output.  Only the mass absorbed within each step and the
+    spacing dy are stored; the step dtau = dy^2/6, the step-end times and
+    the cumulative absorption F are derived from them on each access."""
 
     absorbed_mass: np.ndarray         # mass absorbed within each step
     dy: float
-    dtau: float
+
+    @property
+    def dtau(self):
+        return self.dy * self.dy / 6.0
 
     @property
     def tau_nodes(self):
@@ -80,7 +83,10 @@ class McResult:
     samples: np.ndarray               # hitting times, dimensionless tau
     censored_count: int
     dt: float
-    n_paths: int
+
+    @property
+    def n_paths(self):
+        return len(self.samples) + self.censored_count
 
     @property
     def mean(self):
@@ -434,7 +440,7 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
         mass = S_block @ mass
     absorbed[full:] = rows[:n_steps - full] @ mass[:width]
 
-    return TreeResult(absorbed_mass=absorbed, dy=dy, dtau=dtau)
+    return TreeResult(absorbed_mass=absorbed, dy=dy)
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +549,7 @@ def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
 
     steps = np.concatenate(hit_steps) if hit_steps else np.zeros(0, int)
     steps.sort()
-    return McResult(samples=dt * steps.astype(float), censored_count=n,
-                    dt=dt, n_paths=n_paths)
+    return McResult(samples=dt * steps.astype(float), censored_count=n, dt=dt)
 
 
 # ----------------------------------------------------------------------

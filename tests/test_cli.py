@@ -118,9 +118,20 @@ def test_oracle_mc_command(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     code, _ = run(capsys, "oracle", "mc", "--model", "ou", "--start", "-0.5",
                   "--barrier", "0.5", "--tmax", "8", "--paths", "4000",
-                  "--dt", "0.002", "--seed", "4", "--out", str(out))
+                  "--dtau", "0.002", "--seed", "4", "--out", str(out))
     assert code == 0
     assert out.exists() and (tmp_path / "mc_cdf.csv").exists()
+
+
+def test_oracle_mc_reads_dt_as_a_prefix_of_dtau(capsys):
+    """mc's Euler step is --dtau, and the unique prefix --dt still sets it."""
+    argv = ["oracle", "mc", "--model", "ou", "--start", "-0.5", "--barrier",
+            "0.5", "--tmax", "8", "--paths", "4000", "--seed", "4"]
+    code_dt, out_dt = run(capsys, *argv, "--dt", "0.002")
+    code_dtau, out_dtau = run(capsys, *argv, "--dtau", "0.002")
+    _, out_default = run(capsys, *argv)
+    assert code_dt == code_dtau == 0
+    assert _csv_rows(out_dt) == _csv_rows(out_dtau) != _csv_rows(out_default)
 
 
 def test_table1_command(capsys):

@@ -86,13 +86,6 @@ def test_rejects_reversed_interval(ou_table6):
         cumulants(ou_table6, 2.0, 1.0)
 
 
-def test_dimensional_conversion(ou_table6):
-    cs = cumulants(ou_table6, 0.0, 1.0, time_scale=2.0)
-    dim = cs.dimensional()
-    assert dim[0] == pytest.approx(cs.kappa_r[0] / 2.0)
-    assert dim[1] == pytest.approx(cs.kappa_r[1] / 4.0)
-
-
 # ----------------------------------------------------------------------
 # OU mean regimes
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import integrate, special
 import fpt
 import fpt.density as density
 from fpt.density import _gauss_legendre, _normalizer
-from fpt.errors import InputError
+from fpt.errors import InputError, NumericsError
 
 
 def _ou0_log_closed_form(tau, y0):
@@ -112,6 +113,49 @@ def test_theta_of_kinked_expression_field_warns():
     with pytest.warns(UserWarning, match="disagree"):
         val = fpt.theta_fisher(ff, im)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def test_theta_reads_the_mass_of_a_wide_expression_domain():
+    """psi ~ exp(-y^2/200) on [-80, 80] keeps e^-8 of its peak at +-40, so
+    theta widens its range to the measure's domain: <A^2> = 1e-4 <y^2>
+    over a Gaussian of variance 100 (truncated at 8 sigma) is 0.01."""
+    ff, im = fpt.load_field({"type": "expr", "A": "-0.01*y", "domain": [-80, 80]})
+    assert fpt.theta_fisher(ff, im) == pytest.approx(0.01, rel=1e-12, abs=0.0)
+
+
+def test_theta_reads_the_slow_tail_of_weak_dry_friction():
+    """psi ~ exp(-0.1 |y|) is e^-4 of its peak at +-40; theta doubles its
+    range to (-640, 640) and returns mu^2."""
+    ff, im = fpt.builtin("dry_friction", mu=0.1)
+    with pytest.warns(UserWarning, match="disagree"):
+        val = fpt.theta_fisher(ff, im)
+    assert val == pytest.approx(0.01, rel=1e-12, abs=0.0)
+
+
+def test_theta_of_a_tail_too_heavy_for_its_range_is_a_numerics_error():
+    # psi ~ exp(-1e-4 |y|) is still e^-1 of its peak at +-10240
+    ff, im = fpt.builtin("dry_friction", mu=1e-4)
+    with pytest.raises(NumericsError, match="doublings"):
+        fpt.theta_fisher(ff, im)
+
+
+def test_table_drift_derivative_serves_theta_and_nu(ou):
+    """A tabulated A = -y: A' is the interpolant's slope, -1, inside the
+    table and 0 outside it; theta's <A^2> and <-A'> agree (no warning),
+    and nu at y+ = 1 is OU's."""
+    y = np.linspace(-12, 12, 961)
+    ff, im = fpt.load_field({"type": "table", "y": y.tolist(),
+                             "A": (-y).tolist(), "domain": [-12, 12]})
+    inside = np.array([-11.99, -3.3, 0.0, 0.37, 11.5])
+    assert ff.A_prime(inside) == pytest.approx(-1.0, abs=1e-12)
+    assert ff.A_prime(np.array([-20.0, -12.0, 12.0, 13.5])).tolist() == [0.0] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = fpt.theta_fisher(ff, im)
+    assert theta == pytest.approx(1.0, abs=1e-10)
+    lam = fpt.rightmost_zero(1.0)
+    assert fpt.nu_coefficient(ff, 1.0, lam, 1.0) == pytest.approx(
+        fpt.nu_coefficient(ou[0], 1.0, lam, 1.0), rel=1e-12)
 
 
 def test_theta_calls_a_smooth_drift_a_fixed_number_of_times():

@@ -527,7 +527,7 @@ def test_mc_samples_in_range(ou):
     res = fpt.simulate(ou[0], 0.5, -0.5, dt=1e-3, n_paths=5000, tau_max=6.0,
                        seed=1)
     assert np.all(res.samples > 0.0) and np.all(res.samples <= 6.0 + 1e-12)
-    assert res.censored_count + len(res.samples) == res.n_paths
+    assert res.censored_count + len(res.samples) == 5000
 
 
 def test_mc_start_near_boundary_hits_immediately(ou):
