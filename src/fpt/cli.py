@@ -55,6 +55,28 @@ def _config_json(args):
     return json.dumps(record, sort_keys=True)
 
 
+def _finite_float(text):
+    """The argparse type of a number option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    """The argparse type of a count option: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):          # bad input is exit code 3
         self.print_usage(sys.stderr)
@@ -107,6 +129,8 @@ def _parse_sweep(text):
         a, b, n = float(a), float(b), int(n)
     except Exception:
         raise InputError(f"sweep must be 'start:stop:count', got {text!r}")
+    if not np.isfinite([a, b]).all():
+        raise InputError(f"sweep ends must be finite, got {text!r}")
     if n < 1:
         raise InputError(f"sweep count must be at least 1, got {n}")
     return a, b, n
@@ -115,16 +139,19 @@ def _parse_sweep(text):
 def _parse_list(text, option):
     """The comma-separated numbers of `option`, e.g. --barriers=-1,1,2."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"{option} must be comma-separated numbers, got {text!r}")
+    if not np.isfinite(values).all():
+        raise InputError(f"{option} must be finite numbers, got {text!r}")
+    return values
 
 
 def _add_model_args(p):
     p.add_argument("--model", default="ou", choices=list(_MODEL_PARAMS))
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--mu", type=_finite_float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=2.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--config", help="JSON custom field spec (overrides --model)")
 
 
@@ -287,12 +314,12 @@ def cmd_validate(args):
             if isinstance(res, Exception):
                 case.update(status="failed", error=str(res))
                 continue
-            tau, f_pde = res
+            tau, f_pde, cn_steps = res
             f_formula = _density.eval_density(model, tau)
             case.update(
                 lam=model.lam, lambda_source=model.lambda_source,
                 theta=model.theta, nu=model.nu, rho=model.rho,
-                tau_max=tmax, pde_steps=len(tau),
+                tau_max=tmax, pde_steps=len(tau), pde_cn_steps=cn_steps,
                 l1=_oracle.l1_distance(tau, f_formula, f_pde),
                 sup=float(np.max(np.abs(f_formula - f_pde))),
                 normalization_residual=model.calibration_residual,
@@ -315,9 +342,9 @@ def cmd_validate(args):
 
 def _pde_densities(ff, y_plus, starts, **grid):
     """One `solve_pde` for all `starts`: per start, (tau, f) after
-    tau = 0, or the error that fails its case.  A start outside the grid
-    is the one bad input that concerns a single start, so after an
-    InputError each start is solved alone."""
+    tau = 0 and the solve's CN step count, or the error that fails its
+    case.  A start outside the grid is the one bad input that concerns a
+    single start, so after an InputError each start is solved alone."""
     try:
         g = _oracle.solve_pde(ff, y_plus, probe_y=starts, **grid)
     except NumericsError as exc:
@@ -327,7 +354,7 @@ def _pde_densities(ff, y_plus, starts, **grid):
             return [exc]
         return [res for y0 in starts
                 for res in _pde_densities(ff, y_plus, [y0], **grid)]
-    return [(g.probe_tau[1:], f[1:]) for f in g.probe_f]
+    return [(g.probe_tau[1:], f[1:], g.cn_steps) for f in g.probe_f]
 
 
 def _tail_slope_error(model, tau, f_pde):
@@ -354,13 +381,13 @@ def build_parser():
         sp.add_argument("--out", help="output CSV/JSON path (default stdout)")
 
     sp = sub.add_parser("pcf", help="evaluate the parabolic-cylinder relative")
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--y", type=float, required=True)
+    sp.add_argument("--s", type=_finite_float, required=True)
+    sp.add_argument("--y", type=_finite_float, required=True)
     common(sp)
 
     sp = sub.add_parser("lambda", help="decay-rate estimates")
     _add_model_args(sp)
-    sp.add_argument("--barrier", type=float, default=0.0)
+    sp.add_argument("--barrier", type=_finite_float, default=0.0)
     sp.add_argument("--sweep", help="start:stop:count barrier sweep")
     sp.add_argument("--exact", action="store_true")
     common(sp)
@@ -368,38 +395,38 @@ def build_parser():
     sp = sub.add_parser("hseries", help="coefficient table as CSV")
     _add_model_args(sp)
     sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--zleft", type=float, default=_hseries.HGrid.Z)
-    sp.add_argument("--step", type=float, default=_hseries.HGrid.step)
-    sp.add_argument("--zmax", type=float, default=_hseries.HGrid.z_max)
+    sp.add_argument("--zleft", type=_finite_float, default=_hseries.HGrid.Z)
+    sp.add_argument("--step", type=_finite_float, default=_hseries.HGrid.step)
+    sp.add_argument("--zmax", type=_finite_float, default=_hseries.HGrid.z_max)
     common(sp)
 
     sp = sub.add_parser("cumulants", help="passage-time cumulants")
     _add_model_args(sp)
-    sp.add_argument("--start", type=float, required=True)
-    sp.add_argument("--barrier", type=float, required=True)
+    sp.add_argument("--start", type=_finite_float, required=True)
+    sp.add_argument("--barrier", type=_finite_float, required=True)
     sp.add_argument("--rmax", type=int, default=4)
     common(sp)
 
     sp = sub.add_parser("density", help="global density approximation")
     _add_model_args(sp)
-    sp.add_argument("--start", type=float, required=True)
-    sp.add_argument("--barrier", type=float, required=True)
-    sp.add_argument("--tmax", type=float, default=10.0)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--start", type=_finite_float, required=True)
+    sp.add_argument("--barrier", type=_finite_float, required=True)
+    sp.add_argument("--tmax", type=_finite_float, default=10.0)
+    sp.add_argument("--n", type=_positive_int, default=200)
     common(sp)
 
     sp = sub.add_parser("oracle", help="numerical ground truth")
     sp.add_argument("oracle", choices=["pde", "tree", "mc"])
     _add_model_args(sp)
-    sp.add_argument("--start", type=float, required=True)
-    sp.add_argument("--barrier", type=float, required=True)
-    sp.add_argument("--tmax", type=float, default=20.0)
-    sp.add_argument("--dy", type=float, default=1.0 / 200.0)
-    sp.add_argument("--dtau", type=float, default=1e-3,
+    sp.add_argument("--start", type=_finite_float, required=True)
+    sp.add_argument("--barrier", type=_finite_float, required=True)
+    sp.add_argument("--tmax", type=_finite_float, default=20.0)
+    sp.add_argument("--dy", type=_finite_float, default=1.0 / 200.0)
+    sp.add_argument("--dtau", type=_finite_float, default=1e-3,
                     help="pde: scale of the graded time steps (dtau/10 at "
                          "first, growing to 5 dtau / min(1, lambda_1)); "
                          "tree: the uniform step; mc: the Euler step")
-    sp.add_argument("--paths", type=int, default=100_000)
+    sp.add_argument("--paths", type=_positive_int, default=100_000)
     sp.add_argument("--no-bridge", action="store_true")
     sp.add_argument("--seed", type=int, default=0, help="mc random seed")
     common(sp)
@@ -416,9 +443,9 @@ def build_parser():
     _add_model_args(sp)
     sp.add_argument("--barriers", default="-1,1,2")
     sp.add_argument("--offsets", default="1,2,4")
-    sp.add_argument("--tmax", type=float, default=None)
-    sp.add_argument("--dy", type=float, default=1.0 / 200.0)
-    sp.add_argument("--curve-stride", type=int, default=50)
+    sp.add_argument("--tmax", type=_finite_float, default=None)
+    sp.add_argument("--dy", type=_finite_float, default=1.0 / 200.0)
+    sp.add_argument("--curve-stride", type=_positive_int, default=50)
     common(sp)
 
     return p

@@ -19,7 +19,10 @@ analytic modules:
               Its grid and operator come from one builder, `_operator`,
               which also checks their domain (finite A, cell Peclet
               number below 1, scaling within e^460) up front; InputError
-              names the knob to turn (dy or y_min).
+              names the knob to turn (dy or y_min).  Once the state less
+              its steady state is, to 1e-10 in F at every probe, a sum of
+              the operator's 8 slowest modes, the rest of the grid is
+              read from those modes in closed form, exact in time.
   solve_tree  explicit trinomial lattice, forward induction with an
               absorbing top layer, 32 steps per sparse banded product.
   simulate    Euler-Maruyama paths with an optional Brownian-bridge
@@ -34,7 +37,8 @@ import warnings
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import (eigh_tridiagonal, eigvalsh_tridiagonal, lapack,
+                          solveh_banded)
 
 from .errors import InputError, NumericsError
 from .forcefield import ForceField
@@ -48,12 +52,15 @@ __all__ = ["SolutionGrid", "TreeResult", "McResult",
 class SolutionGrid:
     """PDE solver output: the spatial grid, and the time series of F and
     f at every step, one row per starting point in the order of
-    `solve_pde`'s `probe_y`, each read at the grid node it snaps to."""
+    `solve_pde`'s `probe_y`, each read at the grid node it snaps to.
+    `cn_steps` of the steps were taken by Crank-Nicolson; the nodes after
+    probe_tau[cn_steps] are read from the spectral tail."""
 
     y_nodes: np.ndarray
     probe_tau: np.ndarray             # graded step ends, shape (n_steps + 1,)
     probe_F: np.ndarray               # shape (n_probe, n_steps + 1)
     probe_f: np.ndarray
+    cn_steps: int                     # steps taken; later nodes are the tail
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,12 @@ _START = 0.1
 _GROWTH = 1.01 ** _BLOCK
 _CAP = 5.0
 
+# solve_pde finishes in closed form from the _TAIL_MODES slowest modes of
+# its operator once the rest of the state, read as F at every probe
+# stencil, is at most _TAIL_TOL; 0 keeps it stepping to the end
+_TAIL_MODES = 8
+_TAIL_TOL = 1e-10
+
 
 def _operator(ff, y_plus, y_min, dy):
     """solve_pde's grid on [y_min, y_plus] and its operator
@@ -172,6 +185,37 @@ def _slowest_rate(h, sym_off):
     return -float(top[0])
 
 
+def _slowest_modes(h, sym_off, k):
+    """The k largest eigenvalues w of solve_pde's symmetric operator S
+    (diagonal -2/h^2, off-diagonal `sym_off`) and their orthonormal
+    eigenvectors, the columns of V.  Bisection stops at 1e-4, which is
+    enough for inverse iteration to make the vectors accurate, and each
+    Rayleigh quotient v^T S v then gives w to about 1e-11."""
+    n = len(sym_off) + 1
+    k = min(k, n)
+    diag = np.full(n, -2.0 / h**2)
+    _, V = eigh_tridiagonal(diag, sym_off, select="i",
+                            select_range=(n - k, n - 1), tol=1e-4)
+    SV = diag[:, None] * V
+    SV[:-1] += sym_off[:, None] * V[1:]
+    SV[1:] += sym_off[:, None] * V[:-1]
+    w = np.einsum("ij,ij->j", V, SV) / np.einsum("ij,ij->j", V, V)
+    return w, V
+
+
+def _steady_state(h, sym_off, beta):
+    """G_inf = -S^-1 beta e_last, the fixed point of dG/dtau = S G +
+    beta e_last (and of every CN and backward-Euler step), from one
+    tridiagonal solve (`solveh_banded`) of -S, which is positive definite."""
+    n = len(sym_off) + 1
+    bands = np.zeros((2, n))
+    bands[0, 1:] = -sym_off
+    bands[1] = 2.0 / h**2
+    rhs = np.zeros(n)
+    rhs[-1] = beta
+    return solveh_banded(bands, rhs)
+
+
 def _time_steps(dtau, tau_max, rate):
     """The step of each of solve_pde's steps, and the nodes tau_0 = 0 <
     tau_1 < ... < tau_N they reach, with tau_{N-1} < tau_max <= tau_N: the
@@ -198,8 +242,9 @@ def _time_steps(dtau, tau_max, rate):
 
 def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
               tau_max=20.0, probe_y=()) -> SolutionGrid:
-    """Crank-Nicolson on graded time steps with Rannacher start-up, read
-    at the probes.
+    """Crank-Nicolson on graded time steps with Rannacher start-up,
+    finished in closed form from the operator's slowest modes, read at the
+    probes.
 
     `probe_y` names the starting points whose F and f are recorded at
     every step; at least one is required, each strictly inside
@@ -249,6 +294,29 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     (D > 0, so this is exact), and NumericsError names the first step that
     left (or is NaN).  The probes read their stencil columns of the block.
 
+    The spectral tail.  The semi-discrete system dG/dtau = S G + beta e_last
+    (beta = D_{M-1} u_{M-1}) relaxes to its steady state
+    G_inf = -S^-1 beta e_last, which is also the fixed point of every CN
+    step, through the modes of S = V diag(w) V^T, all with w < 0 (the
+    long-time law F = 1 - sum c_j e^(-lambda_j tau); Alili, Patie &
+    Pedersen, Stochastic Models 21, 2005).  So once G - G_inf lies in the
+    span of the k = _TAIL_MODES = 8 slowest modes (`_slowest_modes`, about
+    4 ms at M = 2400), G(tau) = G_inf + V_k (c e^(w (tau - tau_s))) with
+    c = V_k^T (G(tau_s) - G_inf) is exact in time.  After each block the
+    solver splits G - G_inf into V_k c and a remainder r.  When ||r||_2 / D
+    is at most _TAIL_TOL = 1e-10 at every node of every probe stencil, it
+    fills the later nodes of `probe_tau` from that formula at the stencils
+    alone and stops stepping; the tail's reads pass the same [0, 1] check.
+    S is symmetric negative definite, so ||e^(S t) r||_2 <= ||r||_2: the
+    dropped remainder moves F at a stencil node by at most 1e-10 at any
+    later time.  Until the criterion holds CN keeps stepping, so a solve
+    where it never holds is CN to the end, and `cn_steps` counts the steps
+    taken.  The time grid is the same either way.  The tolerance is not
+    one to tighten: CN damps the stiff modes by a factor near -1 per step,
+    and the remainder they leave kept 1e-12 from ever being reached.
+    On the `fpt validate` grids the switch comes after 480 to 1184 of
+    their 1141 to 2311 steps.
+
     The scaling is defined only where it is real and representable, and
     outside that domain InputError is raised:
       - A(y) must be finite at every grid node;
@@ -267,6 +335,10 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
         raise InputError("dy, dtau, tau_max must be positive")
     if len(probe_y) == 0:
         raise InputError("solve_pde needs at least one probe_y")
+    given = [y_plus, dy, dtau, tau_max, *probe_y]
+    if not np.isfinite(given + ([] if y_min is None else [y_min])).all():
+        raise InputError("y_plus, y_min, dy, dtau, tau_max and probe_y "
+                         "must be finite")
     y, h, Ay, _, upper, log_d, sym_off = _operator(ff, y_plus, y_min, dy)
     y_min, M = y[0], len(y) - 1
     d_inv = np.exp(-log_d)
@@ -291,6 +363,15 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     col = np.clip(stencil - 1, 0, M - 2)
     at_min, at_plus = stencil == 0, stencil == M
 
+    # the tail: G = G_inf + V (c e^(w (tau - tau_s))) from the state at
+    # tau_s, and the largest D^-1 of an interior stencil node, which turns
+    # the dropped remainder's 2-norm into a bound on F at every probe
+    tol = _TAIL_TOL
+    if tol > 0:
+        w, V = _slowest_modes(h, sym_off, _TAIL_MODES)
+        g_inf = _steady_state(h, sym_off, np.exp(log_d[-1]) * upper[-1])
+        tail_scale = d_inv[col[~(at_min | at_plus)]].max()
+
     # G lives on the interior nodes.  Row 0 of `block` holds G at the end
     # of the previous block, rows 1.._BLOCK the steps of this one, each
     # solved in place from the row above.  Halving the diagonal factor is
@@ -299,6 +380,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     rows = list(block)
     rhs = np.zeros(M - 1)
     factored = None
+    cn_steps = n_steps
     # steps past a failing one may overflow or turn NaN; the check raises
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, _BLOCK):
@@ -332,12 +414,7 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
             lo = (G.min(axis=0) * d_inv).min()
             hi = (G.max(axis=0) * d_inv).max()
             if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):
-                F = G * d_inv
-                lo, hi = F.min(axis=1), F.max(axis=1)
-                k = np.argmin((lo >= -1e-6) & (hi <= 1.0 + 1e-6))
-                raise NumericsError(
-                    f"PDE solution left [0,1] at step {first + k} "
-                    f"(range [{lo[k]:.3e}, {hi[k]:.3e}]); refine dtau")
+                _check_range(G * d_inv, first)
 
             out = reads[first:first + n]
             np.multiply(G[:, col], d_inv[col], out=out)
@@ -345,11 +422,39 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
             out[:, at_plus] = 1.0
             rows[0][:] = rows[n]
 
+            last = first + n - 1
+            if tol > 0 and last < n_steps:
+                delta = rows[0] - g_inf
+                c = V.T @ delta
+                if np.linalg.norm(delta - V @ c) * tail_scale <= tol:
+                    out = reads[last + 1:]
+                    modes = np.exp(np.outer(w, tau[last + 1:] - tau[last]))
+                    np.multiply(((V[col] * c) @ modes).T + g_inf[col],
+                                d_inv[col], out=out)
+                    out[:, at_min] = 0.0
+                    out[:, at_plus] = 1.0
+                    _check_range(out, last + 1)
+                    cn_steps = last
+                    break
+
     Fm, F0, Fp = (np.ascontiguousarray(reads[:, j::3].T) for j in range(3))
     Ai = Ay[probe_idx][:, None]
     return SolutionGrid(
         y_nodes=y, probe_tau=tau, probe_F=F0,
-        probe_f=Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2)
+        probe_f=Ai * (Fp - Fm) / (2 * h) + (Fp - 2 * F0 + Fm) / h**2,
+        cn_steps=cn_steps)
+
+
+def _check_range(F, first):
+    """NumericsError naming the first row of F, the step `first` on, that
+    leaves [0, 1] by more than 1e-6 or holds a NaN."""
+    lo, hi = F.min(axis=1), F.max(axis=1)
+    inside = (lo >= -1e-6) & (hi <= 1.0 + 1e-6)
+    if not inside.all():
+        k = np.argmin(inside)
+        raise NumericsError(
+            f"PDE solution left [0,1] at step {first + k} "
+            f"(range [{lo[k]:.3e}, {hi[k]:.3e}]); refine dtau")
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +491,8 @@ def solve_tree(ff: ForceField, y_plus, y0, dtau=1e-3,
     last block reads the first rows alone.
     """
     y_plus, y0 = float(y_plus), float(y0)
+    if not np.isfinite([y_plus, y0, dtau, tau_max]).all():
+        raise InputError("y_plus, y0, dtau and tau_max must be finite")
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
     if not (dtau > 0 and tau_max > 0):
@@ -489,6 +596,8 @@ def simulate(ff: ForceField, y_plus, y0, dt=1e-3, n_paths=100_000,
     `samples` come out sorted.
     """
     y_plus, y0 = float(y_plus), float(y0)
+    if not np.isfinite([y_plus, y0, dt, tau_max]).all():
+        raise InputError("y_plus, y0, dt and tau_max must be finite")
     if y0 >= y_plus:
         raise InputError("needs y0 < y_plus")
     if not (dt > 0 and tau_max > 0 and n_paths > 0):

@@ -229,6 +229,58 @@ def test_validate_report_counts_the_pde_steps(capsys):
     assert steps == [len(g.probe_tau) - 1] * 2 and steps[0] > 0
 
 
+def test_validate_report_counts_the_cn_steps(capsys):
+    """Each case reports how many of its solve's time steps were CN steps;
+    the rest of the grid is the spectral tail."""
+    code, out = run(capsys, "validate", "--model", "ou", "--barriers", "1",
+                    "--offsets=1,2", "--tmax", "20", "--dy", "0.02")
+    assert code == 0
+    g = fpt.solve_pde(fpt.builtin("ou")[0], 1.0, dy=0.02, dtau=1e-3,
+                      tau_max=20.0, probe_y=(0.0,))
+    cases = json.loads(out)["cases"]
+    assert [case["pde_cn_steps"] for case in cases] == [g.cn_steps] * 2
+    assert 0 < g.cn_steps < cases[0]["pde_steps"] == len(g.probe_tau) - 1
+
+
+@pytest.fixture(scope="module", params=["ou", "tanh", "dry_friction"])
+def validate_rerun(request, tmp_path_factory):
+    """The stored out/validate_<model>.json and the report of rerunning the
+    command recorded in the `# config:` header of its curves file."""
+    model = request.param
+    header = (OUT_DIR / f"validate_{model}_curves.csv").read_text().splitlines()[2]
+    cfg = json.loads(header.removeprefix("# config: "))
+    argv = ["validate", "--model", cfg["model"]]
+    argv += [f"--{k}={v}" for k, v in cfg["params"].items()]
+    argv += [f"--{k.replace('_', '-')}={v}"
+             for k, v in cfg["options"].items() if v is not None]
+    out = tmp_path_factory.mktemp(model) / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    stored = json.loads((OUT_DIR / f"validate_{model}.json").read_text())
+    return stored["cases"], json.loads(out.read_text())["cases"]
+
+
+def test_validate_reproduces_out_references(validate_rerun):
+    """Every case of a stored validate report comes back on the same time
+    grid, with its rate and calibration to 1e-9 relative and its L1 to
+    1e-4."""
+    stored, fresh = validate_rerun
+    assert len(fresh) == len(stored) == 9
+    for new, old in zip(fresh, stored):
+        assert (new["y_plus"], new["y0"]) == (old["y_plus"], old["y0"])
+        assert new["status"] == old["status"] == "ok"
+        assert new["pde_steps"] == old["pde_steps"]
+        assert new["lam"] == pytest.approx(old["lam"], rel=1e-9, abs=0.0)
+        assert new["rho"] == pytest.approx(old["rho"], rel=1e-9, abs=0.0)
+        assert new["l1"] == pytest.approx(old["l1"], rel=0.0, abs=1e-4)
+
+
+def test_every_validate_grid_switches_to_the_spectral_tail(validate_rerun):
+    """Each of the nine solves of the acceptance grids (C06) finishes on
+    the spectral tail: fewer CN steps than time steps."""
+    _, fresh = validate_rerun
+    assert all(case["pde_cn_steps"] < case["pde_steps"] for case in fresh)
+
+
 def test_validate_curves_sit_beside_an_extensionless_report(tmp_path, monkeypatch,
                                                             capsys):
     # "./report" has no extension: the curves go to ./report_curves.csv,
@@ -297,10 +349,42 @@ def test_exit_code_empty_or_negative_sweep(capsys, count):
     assert "sweep count" in capsys.readouterr().err
 
 
+# each used to end in a traceback, a hang (tau_max = inf) or exit 0 with
+# zeros or NaN rows
+@pytest.mark.parametrize("argv, option", [
+    (["density", "--start", "-1", "--barrier", "0", "--n", "0"], "--n"),
+    (["validate", "--model", "ou", "--barriers", "0", "--offsets", "1",
+      "--tmax", "2", "--dy", "0.02", "--curve-stride", "0"], "--curve-stride"),
+    (["cumulants", "--start", "nan", "--barrier", "1"], "--start"),
+    (["density", "--start", "0", "--barrier", "1", "--tmax", "nan"], "--tmax"),
+    (["lambda", "--barrier", "nan"], "--barrier"),
+    (["oracle", "pde", "--start", "0", "--barrier", "1", "--tmax", "inf"],
+     "--tmax"),
+    (["oracle", "mc", "--start", "0", "--barrier", "1", "--paths", "-5"],
+     "--paths")])
+def test_exit_code_bad_number_option(capsys, monkeypatch, argv, option):
+    def unreachable(*args):
+        raise AssertionError("the PDE time grid was built")
+
+    monkeypatch.setattr(cli._oracle, "_time_steps", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert option in capsys.readouterr().err
+
+
+def test_exit_code_nonfinite_sweep(capsys):
+    assert main(["lambda", "--model", "ou", "--sweep=nan:1:3"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, value", [("--barriers", "a"),
-                                           ("--offsets", "1,,2")])
+                                           ("--offsets", "1,,2"),
+                                           ("--offsets", "1,nan"),
+                                           ("--barriers", "inf")])
 def test_exit_code_bad_validate_list(capsys, option, value):
-    # a list that is not numbers is bad input, not a ValueError traceback
+    # a list that is not finite numbers is bad input, not a ValueError
+    # traceback or a case that fails
     assert main(["validate", "--model", "ou", f"{option}={value}"]) == 3
     assert option in capsys.readouterr().err
 

@@ -1,5 +1,4 @@
 from concurrent.futures import ThreadPoolExecutor
-import importlib
 import sys
 import warnings
 
@@ -9,6 +8,7 @@ from scipy import linalg, special
 from scipy.linalg import lapack
 
 import fpt
+from fpt import oracle
 from fpt.errors import InputError, NumericsError
 from fpt.oracle import (_BLOCK, _CAP, _MC_BUDGET, _TREE_BLOCK, _operator,
                         _slowest_rate, _time_steps)
@@ -113,7 +113,6 @@ def test_pde_rejects_nonfinite_drift():
 
 def test_pde_range_check_fails_on_nan(ou, monkeypatch):
     """A NaN in the solution fails the per-step [0, 1] check."""
-    oracle = importlib.import_module("fpt.oracle")
     real = oracle.lapack.dpttrs
 
     def poisoned(d, e, b, overwrite_b):
@@ -128,7 +127,6 @@ def test_pde_range_check_fails_on_nan(ou, monkeypatch):
 def _poison_dpttrs_from(monkeypatch, call, value):
     """From its `call`-th call on, dpttrs writes `value` into the middle
     of its solution."""
-    oracle = importlib.import_module("fpt.oracle")
     real = oracle.lapack.dpttrs
     calls = []
 
@@ -321,11 +319,13 @@ def test_time_steps_are_uncapped_at_an_unresolved_rate(ou):
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 69, 417, 449,
                                      "capped", "cap_reused"])
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
-def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
+def test_pde_blocks_match_stepwise_reference(field, n_steps, request,
+                                             monkeypatch):
     """Stepping in blocks reads the same bits as stepping one step at a
     time: around block edges and step changes, at the probes next to the
     boundaries (their stencils read F = 0 and F = 1), and with several
-    probes in one call."""
+    probes in one call.  The spectral tail is off, so every step is CN."""
+    monkeypatch.setattr(oracle, "_TAIL_TOL", 0.0)
     ff, _ = request.getfixturevalue(field)
     dy, dtau, M = 1 / 50, 5e-3, 600
     steps, tau = _time_steps(dtau, 1000.0, _grid_rate(ff, 1.0, dy))
@@ -340,15 +340,17 @@ def test_pde_blocks_match_stepwise_reference(field, n_steps, request):
                           probe_y=probes)
         F_ref, f_ref = _stepwise_cn(ff, 1.0, probes, dy, steps)
         assert np.array_equal(g.probe_tau, tau)
+        assert g.cn_steps == n_steps
         assert g.probe_F.shape == (len(probes), n_steps + 1)
         assert np.array_equal(g.probe_F, F_ref)
         assert np.array_equal(g.probe_f, f_ref)
 
 
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction"])
-def test_pde_matches_dense_nonsymmetric_cn(field, request):
+def test_pde_matches_dense_nonsymmetric_cn(field, request, monkeypatch):
     # tau_max = 4 runs every step size, the capped one included: 17 for
-    # OU and tanh, 18 for dry friction
+    # OU and tanh, 18 for dry friction; the spectral tail is off
+    monkeypatch.setattr(oracle, "_TAIL_TOL", 0.0)
     ff, _ = request.getfixturevalue(field)
     dy, dtau, tau_max = 1 / 50, 2e-3, 4.0
     g = fpt.solve_pde(ff, 1.0, dy=dy, dtau=dtau, tau_max=tau_max,
@@ -356,6 +358,7 @@ def test_pde_matches_dense_nonsymmetric_cn(field, request):
     rate = _grid_rate(ff, 1.0, dy)
     steps, _ = _time_steps(dtau, tau_max, rate)
     assert steps[-1] == _CAP * dtau / min(1.0, rate)
+    assert g.cn_steps == len(steps)
     F_ref, f_ref = _dense_cn(ff, 1.0, -1.0, dy, steps)
     assert np.max(np.abs(g.probe_F[0] - F_ref)) < 1e-12
     assert np.max(np.abs(g.probe_f[0] - f_ref)) < 1e-9
@@ -410,6 +413,81 @@ def test_pde_graded_steps_match_exact_time_integration(field, y_plus,
     err = np.max(np.abs(g.probe_F - F_exact))
     assert err < 1e-5
     assert err <= _UNIFORM_SUP_ERROR.get((field, y_plus), np.inf)
+
+
+@pytest.mark.parametrize("field, y_plus", list(_UNIFORM_SUP_ERROR) + _SLOW_ROWS)
+def test_pde_spectral_tail_is_no_further_from_exact_time_integration(
+        field, y_plus, request, monkeypatch):
+    """Each of these grids switches to the spectral tail.  The CN steps
+    before the switch are the bits of CN stepped to the end, and after it
+    the tail stays within 1e-5 of the semi-discrete system solved exactly
+    in time, and no further from it than CN stepped to the end."""
+    ff, _ = request.getfixturevalue(field)
+    dtau, tau_max = (2e-3, 80.0) if y_plus >= 2 else (1e-3, 20.0)
+    probes = (y_plus - 1.0, y_plus - 2.0, y_plus - 4.0)
+    kwargs = dict(dy=1 / 200, dtau=dtau, tau_max=tau_max, probe_y=probes)
+    tail = fpt.solve_pde(ff, y_plus, **kwargs)
+    monkeypatch.setattr(oracle, "_TAIL_TOL", 0.0)
+    stepped = fpt.solve_pde(ff, y_plus, **kwargs)
+    n_steps = len(stepped.probe_tau) - 1
+    assert stepped.cn_steps == n_steps and tail.cn_steps < n_steps
+    assert tail.cn_steps % _BLOCK == 0
+    assert np.array_equal(tail.probe_tau, stepped.probe_tau)
+    taken = slice(0, tail.cn_steps + 1)
+    assert np.array_equal(tail.probe_F[:, taken], stepped.probe_F[:, taken])
+    assert np.array_equal(tail.probe_f[:, taken], stepped.probe_f[:, taken])
+    F_exact = _exact_in_time(ff, y_plus, probes, 1 / 200, stepped.probe_tau)
+    err = np.max(np.abs(tail.probe_F - F_exact))
+    assert err < 1e-5
+    assert err <= np.max(np.abs(stepped.probe_F - F_exact))
+
+
+def test_pde_without_a_switch_is_cn_to_the_end(ou, monkeypatch):
+    """A solve too short for the state to collapse onto the slowest modes
+    never switches, and reads the bits of CN with the tail off."""
+    kwargs = dict(dy=1 / 100, dtau=1e-3, tau_max=1.0, probe_y=(0.0, -1.0))
+    g = fpt.solve_pde(ou[0], 1.0, **kwargs)
+    monkeypatch.setattr(oracle, "_TAIL_TOL", 0.0)
+    stepped = fpt.solve_pde(ou[0], 1.0, **kwargs)
+    assert g.cn_steps == stepped.cn_steps == len(g.probe_tau) - 1
+    assert np.array_equal(g.probe_F, stepped.probe_F)
+    assert np.array_equal(g.probe_f, stepped.probe_f)
+
+
+def test_pde_spectral_tail_reads_are_range_checked(ou, monkeypatch):
+    """The tail's stencil reads pass the [0, 1] check of the CN steps: with
+    the signs of the slowest rates flipped, the modes grow after the
+    switch, and the error names a step past it."""
+    kwargs = dict(dy=1 / 100, dtau=2e-3, tau_max=20.0, probe_y=(0.0,))
+    switch = fpt.solve_pde(ou[0], 1.0, **kwargs).cn_steps
+    real = oracle._slowest_modes
+
+    def growing(*args):
+        w, V = real(*args)
+        return -w, V
+
+    monkeypatch.setattr(oracle, "_slowest_modes", growing)
+    with pytest.raises(NumericsError, match=r"left \[0,1\] at step") as exc:
+        fpt.solve_pde(ou[0], 1.0, **kwargs)
+    step = int(str(exc.value).split("at step ")[1].split()[0])
+    assert step > switch
+
+
+@pytest.mark.parametrize("kwargs", [dict(tau_max=np.inf), dict(dtau=np.inf),
+                                    dict(dy=np.inf), dict(y_min=np.nan),
+                                    dict(probe_y=(np.nan,)),
+                                    dict(y_plus=np.nan)])
+def test_pde_rejects_nonfinite_inputs_before_the_time_grid(ou, kwargs,
+                                                         monkeypatch):
+    """A non-finite number is bad input, found before the time grid is
+    built: with tau_max = inf that grid would never end."""
+    def unreachable(*args):
+        raise AssertionError("the time grid was built")
+
+    monkeypatch.setattr(oracle, "_time_steps", unreachable)
+    args = dict(y_plus=1.0, probe_y=(0.0,)) | kwargs
+    with pytest.raises(InputError, match="finite"):
+        fpt.solve_pde(ou[0], **args)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +574,7 @@ def test_tree_blocks_match_stepwise_reference(field, dtau, tau_max, request):
 # the last case is shorter than half a step: round(tau_max / dt) = 0
 @pytest.mark.parametrize("kwargs", [dict(dt=-1e-3), dict(dt=0.0),
                                     dict(tau_max=-5.0), dict(n_paths=0),
-                                    dict(tau_max=4e-4)])
+                                    dict(tau_max=4e-4), dict(tau_max=np.inf)])
 def test_mc_rejects_bad_inputs(ou, kwargs):
     args = dict(dt=1e-3, n_paths=10, tau_max=1.0, seed=0) | kwargs
     with pytest.raises(InputError):
@@ -504,11 +582,22 @@ def test_mc_rejects_bad_inputs(ou, kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [dict(dtau=-1e-3), dict(dtau=0.0),
-                                    dict(tau_max=0.0), dict(tau_max=4e-4)])
+                                    dict(tau_max=0.0), dict(tau_max=4e-4),
+                                    dict(tau_max=np.inf)])
 def test_tree_rejects_bad_inputs(ou, kwargs):
     args = dict(dtau=1e-3, tau_max=1.0) | kwargs
     with pytest.raises(InputError):
         fpt.solve_tree(ou[0], 1.0, 0.0, **args)
+
+
+@pytest.mark.parametrize("y_plus, y0", [(1.0, np.nan), (np.nan, 0.0),
+                                        (1.0, -np.inf)])
+def test_lattice_and_mc_reject_a_nonfinite_start_or_barrier(ou, y_plus, y0):
+    # a NaN start used to leave every path censored, not raise
+    with pytest.raises(InputError, match="finite"):
+        fpt.simulate(ou[0], y_plus, y0, n_paths=10, tau_max=1.0)
+    with pytest.raises(InputError, match="finite"):
+        fpt.solve_tree(ou[0], y_plus, y0, tau_max=1.0)
 
 
 # ----------------------------------------------------------------------
