@@ -9,7 +9,7 @@ PDE / lattice / Monte Carlo oracles for validation.
 __version__ = "0.1.0"
 
 from .errors import FptError, InputError, NumericsError
-from .forcefield import (ForceField, InvariantMeasure, builtin, classify,
+from .forcefield import (ForceField, InvariantMeasure, builtin,
                          measure_from_drift, load_field)
 from .oupcf import (pcf, rightmost_zero, hermite_leftmost_zero, ou_mean_regime,
                     OU_MEAN_REGIMES)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 import json
-import warnings
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -33,7 +32,6 @@ __all__ = [
     "ForceField",
     "InvariantMeasure",
     "builtin",
-    "classify",
     "measure_from_drift",
     "load_field",
 ]
@@ -54,7 +52,6 @@ class ForceField:
     A: Callable
     A_prime: Callable
     kappa: float = 1.0
-    label: str = "custom"
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -96,7 +93,7 @@ def _ou():
         log_Psi=lambda y: special.log_ndtr(np.asarray(y, float)),
         fisher_theta=1.0,
     )
-    return ForceField(A, A_prime, label="ou"), im
+    return ForceField(A, A_prime), im
 
 
 def _dry_friction(mu):
@@ -115,7 +112,7 @@ def _dry_friction(mu):
 
     im = InvariantMeasure(log_psi=log_psi, log_Psi=log_Psi,
                           fisher_theta=mu * mu)
-    return ForceField(A, A_prime, label=f"dry_friction(mu={mu:g})"), im
+    return ForceField(A, A_prime), im
 
 
 def _tanh_field(amp, gamma):
@@ -140,8 +137,7 @@ def _tanh_field(amp, gamma):
     im = InvariantMeasure(log_psi=log_psi,
                           log_Psi=_log_Psi_with_tail(Psi, log_psi, A),
                           fisher_theta=amp * amp * gamma / (amp + gamma))
-    label = f"tanh(amp={amp:g},gamma={gamma:g})"
-    return ForceField(A, A_prime, label=label), im
+    return ForceField(A, A_prime), im
 
 
 def _abm(mu):
@@ -153,7 +149,7 @@ def _abm(mu):
         normalizable=False,
         fisher_theta=0.0,
     )
-    return ForceField(A, A_prime, label=f"abm(mu={mu:g})"), im
+    return ForceField(A, A_prime), im
 
 
 def builtin(name, mu=1.0, alpha=2.0, gamma=1.0):
@@ -318,9 +314,11 @@ def _log_Psi_with_tail(Psi, log_psi, A):
 
 
 # equally spaced nodes of `measure_from_drift` on its domain; the default
-# domain of a measure, which `density.theta_fisher` also starts from
+# domain of a measure, which `density.theta_fisher` also starts from; and
+# how far below its peak log psi must be at both ends of the domain
 _MEASURE_NODES = 641
 _DOMAIN = (-40.0, 40.0)
+_END_DROP = 20.0
 
 
 def measure_from_drift(A, domain=_DOMAIN):
@@ -355,13 +353,27 @@ def measure_from_drift(A, domain=_DOMAIN):
       log psi - log|A|.
     - Outside `domain` log psi is -inf, and Psi is 0 left of it and the
       total mass right of it.
-    Warns when the total mass differs from 1 by more than 1e-6.
+
+    The drift must revert: InputError, naming the end, is raised before
+    any integral of psi when log psi at either end of `domain` is less
+    than 20 below its peak.  Such a psi does not decay there (a constant
+    or repelling drift) or decays too slowly for `domain` (-y/(1+y^2)),
+    and every value read from it would be set by where the domain is cut.
+    Nearest the bound and passing: a `table` of -tanh on [-3, 3] (22.2
+    below at the ends of its default domain) and -sign on [-30, 30] (30).
     """
     n = _MEASURE_NODES
     y = np.linspace(domain[0], domain[1], n)
     A_at = lambda x, _: A(x)
     lp_u = np.concatenate(([0.0], np.cumsum(_integrate_segments(A_at, y[:-1], y[1:]))))
     lp_u -= lp_u.max()
+    short = [f"{abs(lp_u[k]):.3g} below its peak at the {side} end y = {y[k]:g}"
+             for side, k in (("left", 0), ("right", -1)) if lp_u[k] > -_END_DROP]
+    if short:
+        raise InputError(
+            f"log psi is only {' and '.join(short)}, less than "
+            f"{_END_DROP:g}: the drift does not revert there, or `domain` "
+            "must be wider")
     # psi on panel j is integrated as exp(shift_j + int_{y_j} A) times
     # exp(top_j): the large part of log psi stays out of the integrand, so
     # rounding it does not make the two rules disagree
@@ -418,8 +430,6 @@ def measure_from_drift(A, domain=_DOMAIN):
     Psi_nodes = np.zeros(n)
     Psi_nodes[start + 1:] = np.cumsum(mass[start:]) / Z
     total = Psi_nodes[-1]
-    if abs(total - 1.0) > 1e-6:
-        warnings.warn(f"invariant measure normalization off by {total - 1.0:.2e}")
 
     def Psi(t):
         t = np.asarray(t, float)
@@ -436,39 +446,6 @@ def measure_from_drift(A, domain=_DOMAIN):
 
     return InvariantMeasure(log_psi=log_psi,
                             log_Psi=_log_Psi_with_tail(Psi, log_psi, A))
-
-
-# ----------------------------------------------------------------------
-# regularity classification
-# ----------------------------------------------------------------------
-
-# |y| at which classify samples the drift
-_CLASSIFY_POINTS = (20.0, 40.0, 80.0)
-# last-step ratio that counts as growing without bound
-_TREND_GROWTH = 1.1
-
-
-def _trend_to_infinity(vals):
-    """True/False/None for  'sequence increases without bound'."""
-    v = np.asarray(vals, float)
-    if np.any(~np.isfinite(v)):
-        return bool(np.all(np.isinf(v[~np.isfinite(v)])))
-    if not np.all(np.diff(v) > 0):
-        return False
-    ratio = v[-1] / max(v[-2], 1e-300)
-    if ratio >= _TREND_GROWTH and v[-1] > 1.0:
-        return True
-    if ratio < 1.02:                  # flatlined: converging to a finite limit
-        return False
-    return None
-
-
-def classify(ff: ForceField) -> Optional[bool]:
-    """S_minus: True when -y*A(y) grows without bound as y -> -inf, False
-    when not and None when inconclusive, from y = -20, -40 and -80 alone.
-    Heuristic and advisory: `build_table` warns when it is False."""
-    pts = np.asarray(_CLASSIFY_POINTS)
-    return _trend_to_infinity(pts * np.asarray(ff.A(-pts), float))
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +519,7 @@ def load_field(source):
             return np.asarray(np.where(inside, dinterp(np.clip(t, ynod[0], ynod[-1])), 0.0))
 
         dom = tuple(spec.get("domain", (ynod[0] - 20.0, ynod[-1] + 20.0)))
-        ff = ForceField(A, A_prime, kappa=spec.get("kappa", 1.0), label="table")
+        ff = ForceField(A, A_prime, kappa=spec.get("kappa", 1.0))
         return ff, measure_from_drift(A, domain=dom)
 
     if kind == "expr":
@@ -579,7 +556,7 @@ def load_field(source):
         except (NotImplementedError, NameError, TypeError, ValueError) as exc:
             raise InputError(f"cannot evaluate A = {expr} or A' = {dexpr} "
                              f"with numpy: {exc}") from exc
-        ff = ForceField(A, A_prime, kappa=spec.get("kappa", 1.0), label="expr")
+        ff = ForceField(A, A_prime, kappa=spec.get("kappa", 1.0))
         return ff, measure_from_drift(A, domain=dom)
 
     raise InputError(f"unknown field spec type {spec.get('type')!r}")

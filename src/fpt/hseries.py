@@ -11,7 +11,9 @@ a far boundary, where the passage time is asymptotically exponential).
 Construction (per column r >= 2):
 
   seed   h_r(Z) = c_{r-1} * h_1(Z)^(2r-1)   (c = Catalan numbers; valid
-         deep in the left tail for fields with -y*A(y) -> +inf),
+         deep in the left tail for fields with -y*A(y) -> +inf, as every
+         builtin has; `measure_from_drift` refuses a custom drift with
+         A(-inf) >= 0, whose psi does not decay to the left),
   march  I_r(z) = int_{-inf}^z psi * sum_{k=1}^{r-1} h_k h_{r-k},
          accumulated rightward with the logarithmic trapezium rule
          (exact on piecewise exponentials), then h_r = I_r / psi.
@@ -36,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-import warnings
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError, NumericsError
-from .forcefield import ForceField, InvariantMeasure, _integrate_segments, classify
+from .forcefield import ForceField, InvariantMeasure, _integrate_segments
 
 __all__ = ["HGrid", "HTable", "catalan_numbers", "build_table", "integrate_h",
            "CumulantSet", "cumulants"]
@@ -143,12 +144,11 @@ def _log_trapezium_increment(logS0, logS1, step):
 
 def build_table(ff: ForceField, im: InvariantMeasure, grid: HGrid,
                 r_max: int) -> HTable:
-    """Run the seeded march for r = 2..r_max over the grid."""
+    """Run the seeded march for r = 2..r_max over the grid.  The seeds
+    need -y*A(y) -> +inf at the left; `measure_from_drift` refuses a
+    custom drift whose psi does not decay there."""
     if r_max < 2:
         raise InputError("r_max must be >= 2")
-    if classify(ff) is False:
-        warnings.warn(f"field {ff.label!r}: -y*A(y) does not blow up at "
-                      "-inf; the left-edge seeds may be inaccurate")
 
     z = grid.nodes
     n = len(z)
@@ -189,8 +189,8 @@ def integrate_h(table: HTable, r: int, a, b):
 
     In each cell log h_r is one cubic, so every segment's integrand
     exp(cubic) is analytic, and `forcefield._integrate_segments` is done
-    in one round for smooth drifts (up to four for the kinked
-    -y - |y - 0.77|); `HTable.h_at` rejects a range outside the grid."""
+    in one round, for smooth drifts and the kinked -y - |y - 0.77|/2
+    alike; `HTable.h_at` rejects a range outside the grid."""
     table._check_row(r)
     a, b = float(a), float(b)
     if b < a:

@@ -16,6 +16,8 @@ analytic modules:
               5 dtau / min(1, lambda_1), with one dpttrf per block while it
               grows; lambda_1 is the slowest decay rate of the grid's own
               operator, so the capped step keeps k lambda_1 <= 5 dtau.
+              One eigensolve per solve gives the operator's 8 slowest
+              modes, lambda_1 among them.
               Its grid and operator come from one builder, `_operator`,
               which also checks their domain (finite A, cell Peclet
               number below 1, scaling within e^460) up front; InputError
@@ -37,8 +39,7 @@ import warnings
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import (eigh_tridiagonal, eigvalsh_tridiagonal, lapack,
-                          solveh_banded)
+from scipy.linalg import eigh_tridiagonal, lapack, solveh_banded
 
 from .errors import InputError, NumericsError
 from .forcefield import ForceField
@@ -172,25 +173,15 @@ def _operator(ff, y_plus, y_min, dy):
     return y, h, Ay, lower, upper, log_d, np.sqrt(upper[:-1] * lower[1:])
 
 
-def _slowest_rate(h, sym_off):
-    """lambda_1, the slowest decay rate of solve_pde's grid: minus the
-    largest eigenvalue of its symmetric operator S, whose diagonal is
-    -2/h^2 and whose off-diagonal is `sym_off`.  S is similar to L, and -L
-    is irreducibly diagonally dominant with positive diagonal and
-    non-positive off-diagonal, so lambda_1 > 0; the eigensolver resolves
-    it to about eps 4/h^2."""
-    n = len(sym_off) + 1
-    top = eigvalsh_tridiagonal(np.full(n, -2.0 / h**2), sym_off,
-                               select="i", select_range=(n - 1, n - 1))
-    return -float(top[0])
-
-
 def _slowest_modes(h, sym_off, k):
     """The k largest eigenvalues w of solve_pde's symmetric operator S
     (diagonal -2/h^2, off-diagonal `sym_off`) and their orthonormal
     eigenvectors, the columns of V.  Bisection stops at 1e-4, which is
     enough for inverse iteration to make the vectors accurate, and each
-    Rayleigh quotient v^T S v then gives w to about 1e-11."""
+    Rayleigh quotient v^T S v then gives w to about 1e-11.  -w[-1] is
+    lambda_1, the slowest decay rate of the grid, which is positive: S is
+    similar to L, and -L is irreducibly diagonally dominant with positive
+    diagonal and non-positive off-diagonal."""
     n = len(sym_off) + 1
     k = min(k, n)
     diag = np.full(n, -2.0 / h**2)
@@ -261,7 +252,8 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     k lambda_1 <= 5 dtau: a slowly decaying grid (lambda_1 < 1) takes
     steps up to 5 dtau / lambda_1, and one with lambda_1 >= 1 steps at
     most 5 dtau.  lambda_1 is minus the largest eigenvalue of the
-    symmetric S below (`eigvalsh_tridiagonal`, about 1 ms at M = 2400).
+    symmetric S below, read from the slowest modes that the spectral tail
+    uses (`_slowest_modes`, one eigensolve per solve).
     The grid `probe_tau` is the running sum of the steps and ends at the
     first node at or past tau_max.  The first two steps are replaced by
     four backward-Euler half steps to damp the ringing CN produces from
@@ -355,7 +347,10 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     stencil = np.array([(i - 1, i, i + 1) for i in probe_idx],
                        dtype=np.intp).reshape(-1)
 
-    steps, tau = _time_steps(dtau, tau_max, _slowest_rate(h, sym_off))
+    # the slowest modes cap the step (lambda_1 = -w[-1]) and give the
+    # tail: G = G_inf + V (c e^(w (tau - tau_s))) from the state at tau_s
+    w, V = _slowest_modes(h, sym_off, _TAIL_MODES)
+    steps, tau = _time_steps(dtau, tau_max, -w[-1])
     n_steps = len(steps)
     reads = np.zeros((n_steps + 1, stencil.size))
     # the interior column of each stencil node; the boundary nodes 0 and M
@@ -363,14 +358,11 @@ def solve_pde(ff: ForceField, y_plus, y_min=None, dy=1 / 200, dtau=1e-3,
     col = np.clip(stencil - 1, 0, M - 2)
     at_min, at_plus = stencil == 0, stencil == M
 
-    # the tail: G = G_inf + V (c e^(w (tau - tau_s))) from the state at
-    # tau_s, and the largest D^-1 of an interior stencil node, which turns
-    # the dropped remainder's 2-norm into a bound on F at every probe
     tol = _TAIL_TOL
-    if tol > 0:
-        w, V = _slowest_modes(h, sym_off, _TAIL_MODES)
-        g_inf = _steady_state(h, sym_off, np.exp(log_d[-1]) * upper[-1])
-        tail_scale = d_inv[col[~(at_min | at_plus)]].max()
+    g_inf = _steady_state(h, sym_off, np.exp(log_d[-1]) * upper[-1])
+    # the largest D^-1 of an interior stencil node turns the tail's dropped
+    # remainder's 2-norm into a bound on F at every probe
+    tail_scale = d_inv[col[~(at_min | at_plus)]].max()
 
     # G lives on the interior nodes.  Row 0 of `block` holds G at the end
     # of the previous block, rows 1.._BLOCK the steps of this one, each

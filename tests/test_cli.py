@@ -421,6 +421,16 @@ def test_exit_code_unevaluable_expr_field(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_drift_that_does_not_revert(tmp_path, capsys):
+    """A drift whose psi does not decay at an end of its domain is bad
+    input, not a rate set by where the domain is cut."""
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps({"type": "expr", "A": "-y - Abs(y - 0.77)",
+                                "domain": [-30, 30]}))
+    assert main(["lambda", "--config", str(path), "--barrier", "1.0"]) == 3
+    assert "left end y = -30" in capsys.readouterr().err
+
+
 def test_custom_field_config(tmp_path, capsys):
     y = np.linspace(-12, 12, 49)
     spec = {"type": "table", "y": y.tolist(), "A": (-y).tolist(),

@@ -87,24 +87,31 @@ def test_theta_of_expression_field_matches_mpmath():
 
 def test_theta_reads_no_mass_outside_a_quadrature_measure():
     """A quadrature measure is 0 outside its domain, so theta over (-40, 40)
-    sees only the measure.  -y - |y - 0.77| is -0.77 left of 0.77: on
-    [-30, 30] psi piles up at -30, and theta is about 0.77^2 (the end node
-    read out to -40 gave 5.158)."""
+    sees only the measure.  -y - |y - 0.77|/2 is -(y + 0.77)/2 left of
+    0.77 and -(3y - 0.77)/2 right of it.  On [-10.2, 5.6] log psi ends
+    22.2 and 21.8 below its peak, just past the bound of the measure, and
+    the mass past those ends would still move theta by 1.8e-9."""
     import mpmath as mp
-    ff, im = fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)",
-                             "domain": [-30, 30]})
-    assert im.log_psi(-30.5) == -np.inf
+    lo, hi = -10.2, 5.6
+    ff, im = fpt.load_field({"type": "expr", "A": "-y - 0.5*Abs(y - 0.77)",
+                             "domain": [lo, hi]})
+    assert im.log_psi(lo - 0.5) == -np.inf
     assert im.psi(np.array([-35.0, 31.0])).tolist() == [0.0, 0.0]
     with mp.workdps(30):
         c = mp.mpf("0.77")
-        left = lambda y: mp.exp(-c * y)                    # y <= 0.77
-        right = lambda y: mp.exp(-y * y + c * y - c * c)   # y >= 0.77
-        mass = mp.quad(left, [-30, c]) + mp.quad(right, [c, 30])
-        a2 = c * c * mp.quad(left, [-30, c]) + mp.quad(
-            lambda y: (2 * y - c) ** 2 * right(y), [c, 30])
-        exact = float(a2 / mass)
-    with pytest.warns(UserWarning, match="disagree"):
-        assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        left = lambda y: mp.exp(-y * y / 4 - c * y / 2)              # y <= 0.77
+        right = lambda y: mp.exp(-3 * y * y / 4 + c * y / 2 - c * c / 2)
+
+        def theta(a, b):
+            mass = mp.quad(left, [a, -c, c]) + mp.quad(right, [c, b])
+            a2 = (mp.quad(lambda y: (y + c) ** 2 / 4 * left(y), [a, -c, c])
+                  + mp.quad(lambda y: (3 * y - c) ** 2 / 4 * right(y), [c, b]))
+            return a2 / mass
+
+        exact = float(theta(mp.mpf(lo), mp.mpf(hi)))
+        unbounded = float(theta(-mp.inf, mp.inf))
+    assert abs(unbounded / exact - 1.0) > 1e-9
+    assert fpt.theta_fisher(ff, im) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_theta_of_kinked_expression_field_warns():

@@ -148,27 +148,41 @@ def test_quadrature_measure_calls_drift_a_fixed_number_of_times():
 
 
 # ----------------------------------------------------------------------
-# classification
+# mean reversion at the ends of a quadrature measure's domain
 # ----------------------------------------------------------------------
 
-def test_classify_ou(ou):
-    assert fpt.classify(ou[0]) is True
+# log psi at the named end is 0 (a drift that does not revert there), or
+# 3.69 and 7.38 below its peak at both ends (psi ~ 1/|y| and 1/y^2)
+@pytest.mark.parametrize("A, domain, ends", [
+    ("-y - Abs(y - 0.77)", [-30, 30], ["left"]),
+    ("-0.5", None, ["left"]),
+    ("0.5", None, ["right"]),
+    ("-y/(1+y**2)", None, ["left", "right"]),
+    ("-2*y/(1+y**2)", None, ["left", "right"])])
+def test_measure_refuses_a_drift_that_does_not_revert(A, domain, ends):
+    spec = {"type": "expr", "A": A}
+    if domain is not None:
+        spec["domain"] = domain
+    with pytest.raises(InputError, match="does not revert") as exc:
+        fpt.load_field(spec)
+    for side in ("left", "right"):
+        assert (f"{side} end" in str(exc.value)) == (side in ends)
 
 
-def test_classify_dry_friction(dry_friction):
-    assert fpt.classify(dry_friction[0]) is True
-
-
-def test_classify_abm(abm):
-    assert fpt.classify(abm[0]) is True
-
-
-def test_classify_slow_field_not_in_S():
-    # A = -y/(1+y^2): -y A -> 1, not infinity
-    A = lambda y: -np.asarray(y, float) / (1 + np.asarray(y, float) ** 2)
-    Ap = lambda y: (np.asarray(y, float) ** 2 - 1) / (1 + np.asarray(y, float) ** 2) ** 2
-    ff = fpt.ForceField(A, Ap, label="slow")
-    assert fpt.classify(ff) is False
+def test_measure_keeps_the_reverting_drifts_nearest_the_bound():
+    """-sign(y) on [-30, 30] ends 30 below its peak, and a table of -tanh
+    on [-3, 3], clamped to -+tanh(3) on its default domain [-23, 23],
+    22.2 below: both load, with log psi where the closed forms put it (to
+    the table's interpolation error, 1e-4)."""
+    q = np.array([-2.0, 0.0, 2.5])
+    _, im = fpt.load_field({"type": "expr", "A": "-sign(y)", "domain": [-30, 30]})
+    assert im.log_psi(q) == pytest.approx(-np.abs(q) - np.log(2.0), abs=1e-12)
+    y = np.linspace(-3.0, 3.0, 25)
+    _, im = fpt.load_field({"type": "table", "y": y.tolist(),
+                            "A": (-np.tanh(y)).tolist()})
+    drop = im.log_psi(np.array([-23.0, 23.0])) - im.log_psi(0.0)
+    assert drop == pytest.approx(-np.log(np.cosh(3.0)) - 20.0 * np.tanh(3.0),
+                                 abs=1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +218,9 @@ def test_load_expr_field_with_kinks():
     assert np.all(ff.A_prime(q) == 0.0)
     _, im_df = fpt.builtin("dry_friction", mu=1.0)
     assert im.log_Psi(q) == pytest.approx(im_df.log_Psi(q), rel=1e-9)
-    ff, im = fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)",
+    ff, im = fpt.load_field({"type": "expr", "A": "-y - 0.5*Abs(y - 0.77)",
                              "domain": [-30, 30]})
-    assert ff.A_prime(q) == pytest.approx([0.0, 0.0, -2.0], abs=1e-15)
+    assert ff.A_prime(q) == pytest.approx([-0.5, -0.5, -1.5], abs=1e-15)
     assert np.all(np.isfinite(im.log_Psi(q)))
 
 

@@ -128,15 +128,6 @@ def test_build_rejects_shallow_depth(ou):
         fpt.build_table(*ou, fpt.HGrid(), r_max=1)
 
 
-def test_march_warns_outside_class(abm):
-    # ABM is fine; a repelling field is not in the left class
-    A = lambda y: np.full_like(np.asarray(y, float), -0.5)   # drifts away
-    ff = fpt.ForceField(A, lambda y: np.zeros_like(np.asarray(y, float)))
-    im = fpt.builtin("abm", mu=1.0)[1]
-    with pytest.warns(UserWarning):
-        fpt.build_table(ff, im, fpt.HGrid(z_max=0.0), r_max=2)
-
-
 # ----------------------------------------------------------------------
 # the one-pass march against the node-by-node loop it replaced
 # ----------------------------------------------------------------------
@@ -351,7 +342,7 @@ def _integrate_h_fixed_rule(table, r, a, b):
 
 @pytest.fixture(scope="module")
 def kink_expr():
-    return fpt.load_field({"type": "expr", "A": "-y - Abs(y - 0.77)"})
+    return fpt.load_field({"type": "expr", "A": "-y - 0.5*Abs(y - 0.77)"})
 
 
 @pytest.mark.parametrize("field", ["ou", "tanh2", "dry_friction", "abm",

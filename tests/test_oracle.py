@@ -10,8 +10,8 @@ from scipy.linalg import lapack
 import fpt
 from fpt import oracle
 from fpt.errors import InputError, NumericsError
-from fpt.oracle import (_BLOCK, _CAP, _MC_BUDGET, _TREE_BLOCK, _operator,
-                        _slowest_rate, _time_steps)
+from fpt.oracle import (_BLOCK, _CAP, _MC_BUDGET, _TAIL_MODES, _TREE_BLOCK,
+                        _operator, _slowest_modes, _time_steps)
 
 
 def _invgauss(tau, b, mu):
@@ -100,13 +100,12 @@ def test_pde_rejects_bad_grid(ou):
 
 def _constant_field(a):
     return fpt.ForceField(lambda y: np.full_like(np.asarray(y, float), a),
-                          lambda y: np.zeros_like(np.asarray(y, float)),
-                          label=f"constant {a:g}")
+                          lambda y: np.zeros_like(np.asarray(y, float)))
 
 
 def test_pde_rejects_nonfinite_drift():
     ff = fpt.ForceField(lambda y: np.where(y < -5.0, np.nan, -y),
-                        lambda y: np.full_like(y, -1.0), label="nan tail")
+                        lambda y: np.full_like(y, -1.0))
     with pytest.raises(InputError, match="not finite"):
         fpt.solve_pde(ff, 1.0, probe_y=(0.0,), tau_max=0.1)
 
@@ -173,9 +172,9 @@ def test_pde_rejects_scaling_beyond_double_range():
 
 def _grid_rate(ff, y_plus, dy):
     """The slowest decay rate that solve_pde caps its step by, on its grid
-    for y_plus and dy."""
+    for y_plus and dy: minus the largest of its slowest modes' rates."""
     _, h, _, _, _, _, sym_off = _operator(ff, y_plus, None, dy)
-    return _slowest_rate(h, sym_off)
+    return -_slowest_modes(h, sym_off, _TAIL_MODES)[0][-1]
 
 
 def _dense_cn(ff, y_plus, y0, dy, steps):
@@ -456,15 +455,16 @@ def test_pde_without_a_switch_is_cn_to_the_end(ou, monkeypatch):
 
 def test_pde_spectral_tail_reads_are_range_checked(ou, monkeypatch):
     """The tail's stencil reads pass the [0, 1] check of the CN steps: with
-    the signs of the slowest rates flipped, the modes grow after the
-    switch, and the error names a step past it."""
+    the signs of the slowest rates but lambda_1 flipped, those modes grow
+    after the switch, and the error names a step past it.  lambda_1 caps
+    the step, so it keeps its sign, and the time grid its steps."""
     kwargs = dict(dy=1 / 100, dtau=2e-3, tau_max=20.0, probe_y=(0.0,))
     switch = fpt.solve_pde(ou[0], 1.0, **kwargs).cn_steps
     real = oracle._slowest_modes
 
     def growing(*args):
         w, V = real(*args)
-        return -w, V
+        return np.concatenate((-w[:-1], w[-1:])), V
 
     monkeypatch.setattr(oracle, "_slowest_modes", growing)
     with pytest.raises(NumericsError, match=r"left \[0,1\] at step") as exc:
@@ -507,8 +507,7 @@ def test_tree_agrees_with_pde(ou):
 def test_tree_driftless_matches_reflection_formula():
     # pure diffusion: F(tau) = erfc(b / (2 sqrt(tau)))
     zero = lambda y: np.zeros_like(np.asarray(y, float))
-    ff = fpt.ForceField(lambda y: np.zeros_like(np.asarray(y, float)), zero,
-                        label="driftless")
+    ff = fpt.ForceField(lambda y: np.zeros_like(np.asarray(y, float)), zero)
     tr = fpt.solve_tree(ff, 0.0, -1.0, dtau=5e-4, tau_max=4.0)
     ref = special.erfc(1.0 / (2 * np.sqrt(tr.tau_nodes)))
     assert np.max(np.abs(tr.F - ref)) < 5e-3
